@@ -174,9 +174,22 @@ ParallelDpuEngine::workerMain(unsigned worker_idx) const
 }
 
 void
-ParallelDpuEngine::startJob(size_t n,
-                            const std::function<void(size_t)> &fn) const
+ParallelDpuEngine::forEach(size_t n,
+                           const std::function<void(size_t)> &fn) const
 {
+    if (n == 0)
+        return;
+
+    if (tl_in_pool_worker || threads_ <= 1 || n == 1) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+
+    // One dispatched job at a time; concurrent top-level callers queue
+    // here (workload code never calls this concurrently, but tests do).
+    std::lock_guard<std::mutex> call(callMutex_);
+
     // Grab granularity: coarse enough to amortize the atomic fetch when
     // indices are cheap (thousands of small DPU launches), fine enough
     // that a handful of expensive indices (heavy workload shards) still
@@ -202,11 +215,7 @@ ParallelDpuEngine::startJob(size_t n,
         ++generation_;
     }
     wakeCv_.notify_all();
-}
 
-std::exception_ptr
-ParallelDpuEngine::joinJob() const
-{
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(poolMutex_);
@@ -216,67 +225,8 @@ ParallelDpuEngine::joinJob() const
         error = job_.firstError;
         job_.fn = nullptr;
     }
-    return error;
-}
-
-void
-ParallelDpuEngine::forEach(size_t n,
-                           const std::function<void(size_t)> &fn) const
-{
-    if (n == 0)
-        return;
-
-    if (tl_in_pool_worker || threads_ <= 1 || n == 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    // One dispatched job at a time; concurrent top-level callers queue
-    // here (workload code never calls this concurrently, but tests do).
-    std::lock_guard<std::mutex> call(callMutex_);
-    startJob(n, fn);
-    if (std::exception_ptr error = joinJob())
-        std::rethrow_exception(error);
-}
-
-bool
-ParallelDpuEngine::canDispatch(size_t n) const
-{
-    return n > 0 && threads_ > 1 && !tl_in_pool_worker;
-}
-
-void
-ParallelDpuEngine::dispatch(size_t n,
-                            const std::function<void(size_t)> &fn) const
-{
-    PIM_ASSERT(canDispatch(n),
-               "dispatch() requires canDispatch(): a pool (threads > 1) "
-               "and a non-worker caller");
-    // Hold the top-level-caller lock across the dispatch..wait window so
-    // a concurrent forEach() cannot clobber the in-flight job.
-    callMutex_.lock();
-    PIM_ASSERT(!dispatchActive_, "dispatch() without waitDispatch()");
-    dispatchActive_ = true;
-    startJob(n, fn);
-}
-
-void
-ParallelDpuEngine::waitDispatch() const
-{
-    PIM_ASSERT(dispatchActive_, "waitDispatch() without dispatch()");
-    std::exception_ptr error = joinJob();
-    dispatchActive_ = false;
-    callMutex_.unlock();
     if (error)
         std::rethrow_exception(error);
-}
-
-bool
-ParallelDpuEngine::dispatchDone() const
-{
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    return job_.workersDone == job_.participants;
 }
 
 } // namespace pim::core

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the parallel multi-DPU execution engine: thread-count
- * invariance of MultiDpuResult (the deterministic-reduction guarantee),
- * correct merge of per-worker partials against a sequential reference,
- * PIM_SIM_THREADS resolution, and forEach coverage/exception semantics.
+ * invariance of whole-system CommandQueue launches (per-slot cycles,
+ * cycle breakdowns, traffic, and the resolved makespan), agreement of
+ * pooled launches with a sequential per-DPU reference, PIM_SIM_THREADS
+ * resolution, and forEach coverage/exception semantics.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +18,8 @@
 #include <vector>
 
 #include "core/command_queue.hh"
-#include "core/host_runtime.hh"
 #include "core/parallel_engine.hh"
 #include "core/pim_system.hh"
-#include "core/system.hh"
 #include "sim/mutex.hh"
 #include "workloads/graph/update_driver.hh"
 
@@ -39,8 +38,8 @@ smallDpuCfg()
 }
 
 /** A contention-free per-DPU program with index-dependent compute,
- *  DMA traffic, and idle time, so every MultiDpuResult field is
- *  exercised (incl. the floating-point reductions). */
+ *  DMA traffic, and idle time, so every per-slot outcome field differs
+ *  across DPUs. */
 void
 referenceProgram(sim::Dpu &dpu, unsigned idx)
 {
@@ -52,30 +51,64 @@ referenceProgram(sim::Dpu &dpu, unsigned idx)
     });
 }
 
-MultiDpuResult
-runWithThreads(unsigned num_dpus, unsigned threads, unsigned sample = 0)
+/** Per-slot outcome of one whole-system launchProgram, kept per slot so
+ *  a comparison pins every simulated DPU, not just an aggregate. */
+struct LaunchOutcome
 {
-    return simulateDpus(num_dpus, smallDpuCfg(), referenceProgram,
-                        sample, threads);
+    std::vector<uint64_t> cycles;
+    std::vector<sim::CycleBreakdown> breakdown;
+    std::vector<sim::TrafficStats> traffic;
+    /** The queue's resolved makespan (sync()). */
+    double makespan = 0.0;
+};
+
+using Program = void (*)(sim::Dpu &, unsigned);
+
+LaunchOutcome
+launchWithThreads(unsigned num_dpus, unsigned threads, unsigned sample = 0,
+                  Program program = referenceProgram)
+{
+    PimSystemConfig cfg;
+    cfg.numDpus = num_dpus;
+    cfg.sampleDpus = sample;
+    cfg.dpuCfg = smallDpuCfg();
+    cfg.simThreads = threads;
+    PimSystem sys(cfg);
+    CommandQueue queue(sys);
+    queue.launchProgram(sys.all(), program);
+    LaunchOutcome out;
+    out.makespan = queue.sync();
+    for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
+        const sim::Dpu &dpu = sys.dpu(slot);
+        out.cycles.push_back(dpu.lastElapsedCycles());
+        out.breakdown.push_back(dpu.lastBreakdown());
+        out.traffic.push_back(dpu.traffic());
+    }
+    return out;
 }
 
 void
-expectIdentical(const MultiDpuResult &a, const MultiDpuResult &b)
+expectIdentical(const LaunchOutcome &a, const LaunchOutcome &b)
 {
-    EXPECT_EQ(a.numDpus, b.numDpus);
-    EXPECT_EQ(a.simulatedDpus, b.simulatedDpus);
-    EXPECT_EQ(a.maxCycles, b.maxCycles);
-    // Bit-identical doubles, not just approximately equal: the chunked
-    // reduction fixes the floating-point association.
-    EXPECT_EQ(a.maxSeconds, b.maxSeconds);
-    EXPECT_EQ(a.meanSeconds, b.meanSeconds);
-    for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-        EXPECT_EQ(a.breakdown.cycles[k], b.breakdown.cycles[k]);
-    EXPECT_EQ(a.traffic.dataReadBytes, b.traffic.dataReadBytes);
-    EXPECT_EQ(a.traffic.dataWriteBytes, b.traffic.dataWriteBytes);
-    EXPECT_EQ(a.traffic.metadataReadBytes, b.traffic.metadataReadBytes);
-    EXPECT_EQ(a.traffic.metadataWriteBytes, b.traffic.metadataWriteBytes);
-    EXPECT_EQ(a.traffic.dmaTransfers, b.traffic.dmaTransfers);
+    ASSERT_EQ(a.cycles.size(), b.cycles.size());
+    EXPECT_EQ(a.cycles, b.cycles);
+    // Bit-identical doubles, not just approximately equal: the fold is
+    // sequential in slot order whatever ran the launch bodies.
+    EXPECT_EQ(a.makespan, b.makespan);
+    for (size_t s = 0; s < a.cycles.size(); ++s) {
+        for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
+            EXPECT_EQ(a.breakdown[s].cycles[k], b.breakdown[s].cycles[k])
+                << "slot " << s;
+        const sim::TrafficStats &x = a.traffic[s];
+        const sim::TrafficStats &y = b.traffic[s];
+        EXPECT_EQ(x.dataReadBytes, y.dataReadBytes) << "slot " << s;
+        EXPECT_EQ(x.dataWriteBytes, y.dataWriteBytes) << "slot " << s;
+        EXPECT_EQ(x.metadataReadBytes, y.metadataReadBytes)
+            << "slot " << s;
+        EXPECT_EQ(x.metadataWriteBytes, y.metadataWriteBytes)
+            << "slot " << s;
+        EXPECT_EQ(x.dmaTransfers, y.dmaTransfers) << "slot " << s;
+    }
 }
 
 } // namespace
@@ -83,78 +116,55 @@ expectIdentical(const MultiDpuResult &a, const MultiDpuResult &b)
 TEST(ParallelEngine, ThreadCountInvariance)
 {
     // 130 DPUs: a non-multiple of the chunk size, so the last chunk is
-    // ragged — the hardest case for the deterministic reduction.
-    const auto r1 = runWithThreads(130, 1);
-    const auto r2 = runWithThreads(130, 2);
-    const auto r8 = runWithThreads(130, 8);
-    expectIdentical(r1, r2);
-    expectIdentical(r1, r8);
-    EXPECT_GT(r1.maxCycles, 0u);
-    EXPECT_GT(r1.traffic.totalBytes(), 0u);
+    // ragged — the hardest case for index-addressed result slots.
+    const auto r1 = launchWithThreads(130, 1);
+    const auto r4 = launchWithThreads(130, 4);
+    const auto r7 = launchWithThreads(130, 7);
+    expectIdentical(r1, r4);
+    expectIdentical(r1, r7);
+    ASSERT_EQ(r1.cycles.size(), 130u);
+    EXPECT_GT(r1.makespan, 0.0);
+    EXPECT_GT(r1.traffic[129].totalBytes(), 0u);
 }
 
 TEST(ParallelEngine, ThreadCountInvarianceUnderSampling)
 {
-    const auto r1 = runWithThreads(512, 1, 48);
-    const auto r8 = runWithThreads(512, 8, 48);
-    expectIdentical(r1, r8);
-    EXPECT_EQ(r1.numDpus, 512u);
-    EXPECT_EQ(r1.simulatedDpus, 48u);
+    const auto r1 = launchWithThreads(512, 1, 48);
+    const auto r4 = launchWithThreads(512, 4, 48);
+    const auto r7 = launchWithThreads(512, 7, 48);
+    expectIdentical(r1, r4);
+    expectIdentical(r1, r7);
+    EXPECT_EQ(r1.cycles.size(), 48u);
 }
 
-TEST(ParallelEngine, MergesPartialsLikeSequentialReference)
+TEST(ParallelEngine, PooledLaunchMatchesSequentialReference)
 {
+    // Each slot's outcome equals running its program on a fresh Dpu on
+    // the calling thread, so the pool adds nothing but parallelism.
     const unsigned n = 40;
-    // Hand-rolled sequential reduction over the same programs.
-    uint64_t ref_max = 0;
-    sim::CycleBreakdown ref_breakdown{};
-    sim::TrafficStats ref_traffic{};
+    const auto r = launchWithThreads(n, 4);
+    ASSERT_EQ(r.cycles.size(), n);
     for (unsigned i = 0; i < n; ++i) {
         sim::Dpu dpu{smallDpuCfg()};
         referenceProgram(dpu, i);
-        ref_max = std::max(ref_max, dpu.lastElapsedCycles());
-        ref_breakdown.merge(dpu.lastBreakdown());
-        ref_traffic.merge(dpu.traffic());
+        EXPECT_EQ(r.cycles[i], dpu.lastElapsedCycles()) << "dpu " << i;
+        for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
+            EXPECT_EQ(r.breakdown[i].cycles[k],
+                      dpu.lastBreakdown().cycles[k]);
+        EXPECT_EQ(r.traffic[i].dataReadBytes, dpu.traffic().dataReadBytes);
+        EXPECT_EQ(r.traffic[i].dataWriteBytes,
+                  dpu.traffic().dataWriteBytes);
+        EXPECT_EQ(r.traffic[i].dmaTransfers, dpu.traffic().dmaTransfers);
     }
-
-    const auto r = runWithThreads(n, 4);
-    EXPECT_EQ(r.maxCycles, ref_max);
-    for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-        EXPECT_EQ(r.breakdown.cycles[k], ref_breakdown.cycles[k]);
-    EXPECT_EQ(r.traffic.dataReadBytes, ref_traffic.dataReadBytes);
-    EXPECT_EQ(r.traffic.dataWriteBytes, ref_traffic.dataWriteBytes);
-    EXPECT_EQ(r.traffic.dmaTransfers, ref_traffic.dmaTransfers);
 }
 
-TEST(ParallelEngine, SimulateDpusFacadeMatchesManualQueueUse)
+TEST(ParallelEngine, SystemHonorsExplicitThreadCount)
 {
-    // The synchronous facade and a hand-driven PimSystem+CommandQueue
-    // must produce identical reductions.
-    const auto facade =
-        simulateDpus(96, smallDpuCfg(), referenceProgram, 0, 3);
-
-    PimSystemConfig scfg;
-    scfg.numDpus = 96;
-    scfg.dpuCfg = smallDpuCfg();
-    scfg.simThreads = 3;
-    PimSystem sys(scfg);
-    CommandQueue queue(sys);
-    queue.launchProgram(sys.all(), referenceProgram);
-    queue.sync();
-
-    uint64_t max_cycles = 0;
-    sim::CycleBreakdown breakdown{};
-    sim::TrafficStats traffic{};
-    for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
-        max_cycles =
-            std::max(max_cycles, sys.dpu(slot).lastElapsedCycles());
-        breakdown.merge(sys.dpu(slot).lastBreakdown());
-        traffic.merge(sys.dpu(slot).traffic());
-    }
-    EXPECT_EQ(facade.maxCycles, max_cycles);
-    for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-        EXPECT_EQ(facade.breakdown.cycles[k], breakdown.cycles[k]);
-    EXPECT_EQ(facade.traffic.totalBytes(), traffic.totalBytes());
+    PimSystemConfig cfg;
+    cfg.numDpus = 64;
+    cfg.sampleDpus = 2;
+    cfg.simThreads = 6;
+    EXPECT_EQ(PimSystem(cfg).engine().threadCount(), 6u);
 }
 
 TEST(ParallelEngine, ResolveThreadsPrecedence)
@@ -235,31 +245,6 @@ TEST(ParallelEngine, ForEachPropagatesExceptions)
                                         throw std::runtime_error("boom");
                                 }),
                  std::runtime_error);
-}
-
-TEST(ParallelEngine, HostRuntimeLaunchIsThreadCountInvariant)
-{
-    auto launch = [](unsigned threads) {
-        HostRuntimeConfig cfg;
-        cfg.numDpus = 64;
-        cfg.sampleDpus = 32;
-        cfg.dpuCfg = smallDpuCfg();
-        cfg.simThreads = threads;
-        HostRuntime rt(cfg);
-        rt.pimLaunch(8, [](sim::Tasklet &t, unsigned idx) {
-            t.execute(100 + idx + t.id());
-            t.dmaRead(0, 64);
-        });
-        return rt.elapsedSeconds();
-    };
-    const double s1 = launch(1);
-    const double s8 = launch(8);
-    EXPECT_EQ(s1, s8); // bit-identical timeline
-    EXPECT_GT(s1, 0.0);
-
-    HostRuntimeConfig cfg;
-    cfg.simThreads = 6;
-    EXPECT_EQ(HostRuntime(cfg).simThreads(), 6u);
 }
 
 TEST(ParallelEngine, GraphUpdateDriverIsThreadCountInvariant)
@@ -417,11 +402,9 @@ TEST(ParallelEngine, PinnedPlacementIsDeterministicAndCovers)
             prev = owner;
         }
 
-        const auto r = simulateDpus(64, smallDpuCfg(), referenceProgram,
-                                    0, 4);
+        const auto r = launchWithThreads(64, 4);
         ::unsetenv("PIM_SIM_AFFINITY");
-        const auto ref = simulateDpus(64, smallDpuCfg(),
-                                      referenceProgram, 0, 4);
+        const auto ref = launchWithThreads(64, 4);
         expectIdentical(r, ref);
     }
     ::unsetenv("PIM_SIM_AFFINITY");
@@ -432,20 +415,16 @@ TEST(ParallelEngine, QueueMutexThreadCountInvariance)
     // PIM_SIM_MUTEX=queue must preserve the engine's bit-identity
     // guarantee across PIM_SIM_THREADS settings...
     ScopedMutexMode queue(sim::SimMutex::Mode::Queue);
-    const auto r1 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 1);
-    const auto r4 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 4);
-    const auto r7 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 7);
+    const auto r1 = launchWithThreads(130, 1, 0, contendedProgram);
+    const auto r4 = launchWithThreads(130, 4, 0, contendedProgram);
+    const auto r7 = launchWithThreads(130, 7, 0, contendedProgram);
     expectIdentical(r1, r4);
     expectIdentical(r1, r7);
-    EXPECT_GT(r1.breakdown.of(sim::CycleKind::BusyWait), 0u);
+    EXPECT_GT(r1.breakdown[0].of(sim::CycleKind::BusyWait), 0u);
 
-    // ...and the queue-mode simulation reduces identically to the spin
-    // reference (the cross-mode fidelity contract, at system scale).
+    // ...and the queue-mode simulation matches the spin reference slot
+    // for slot (the cross-mode fidelity contract, at system scale).
     ScopedMutexMode spin(sim::SimMutex::Mode::Spin);
-    const auto s4 =
-        simulateDpus(130, smallDpuCfg(), contendedProgram, 0, 4);
+    const auto s4 = launchWithThreads(130, 4, 0, contendedProgram);
     expectIdentical(r1, s4);
 }

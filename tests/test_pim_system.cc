@@ -4,14 +4,21 @@
  * addressing, sample-index spreading (incl. non-divisible tails), async
  * launch + sync() timeline composition, host/PIM overlap accounting,
  * DPU-subset launches, scatter/gather transfers, event dependencies,
- * and thread-count invariance of the resolved timelines.
+ * thread-count invariance of the resolved timelines, and whole-system
+ * launch/transfer semantics (global-index delivery under sampling,
+ * slowest-DPU launch time, bus saturation, a Fig 5(d)-style allocator
+ * program).
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cstdint>
+#include <memory>
+#include <vector>
 
+#include "core/allocator_factory.hh"
 #include "core/command_queue.hh"
 #include "core/pim_system.hh"
 
@@ -282,7 +289,7 @@ TEST(CommandQueue, EventDependencyOrdersAcrossTimelines)
     const Event done = q.launch(
         sys.all(), 1, [](sim::Tasklet &t, unsigned) { t.execute(1000); });
     // Explicitly ordered behind the launch completion: no overlap.
-    const double host_sec = q.hostCompute(1, 1'000'000, done);
+    const double host_sec = q.hostCompute(1, 1'000'000, {.after = done});
     const double makespan = q.sync();
     EXPECT_NEAR(makespan,
                 kLaunchOverhead + launchSeconds(1000) + host_sec, 1e-12);
@@ -376,7 +383,7 @@ TEST(CommandQueue, ResetTimelineRebasesEarlierEvents)
     q.resetTimeline();
     // A pre-reset event must not leak its old absolute completion time
     // into the new epoch.
-    const double host_sec = q.hostCompute(1, 1000, e);
+    const double host_sec = q.hostCompute(1, 1000, {.after = e});
     EXPECT_DOUBLE_EQ(q.sync(), host_sec);
 }
 
@@ -502,7 +509,7 @@ TEST(CommandQueue, EventSecondsOrdersDependentTimedLaunches)
     const DpuSet b = sys.rankRange(1, 1);
     const Event first = q.launchTimed(a, 1e-3);
     // Dependent launch on a different rank starts only after `first`.
-    const Event second = q.launchTimed(b, 1e-3, first);
+    const Event second = q.launchTimed(b, 1e-3, {.after = first});
     EXPECT_NEAR(q.eventSeconds(second),
                 q.eventSeconds(first) + 1e-3, 1e-12);
     // eventSeconds drains but does not join: the host is still at the
@@ -566,4 +573,109 @@ TEST(SlotPartitionCache, MemoizedPerSetAndSharedForFullSystem)
     const DpuSet twin = sys.rankRange(0, 2);
     EXPECT_NE(sub.partition().get(), twin.partition().get());
     EXPECT_EQ(sub.partition()->slots, twin.partition()->slots);
+}
+
+// ---------------------------------------------------------------------
+// Whole-system launch and transfer semantics
+// ---------------------------------------------------------------------
+
+TEST(CommandQueue, LaunchRunsEverySampledDpuWithItsGlobalIndex)
+{
+    // Each sampled slot's program receives the slot's global index:
+    // the stride mapping when the sample divides the system, and the
+    // even spread that reaches a non-divisible tail otherwise.
+    auto launchedIndices = [](unsigned dpus, unsigned sample) {
+        PimSystem sys(smallSystem(dpus, 64, sample));
+        EXPECT_EQ(sys.numDpus(), dpus);
+        EXPECT_EQ(sys.sampleCount(), sample);
+        CommandQueue q(sys);
+        // Each slot writes only its own entry, so no synchronization.
+        std::vector<unsigned> seen(sys.sampleCount(), UINT32_MAX);
+        q.launch(sys.all(), 2, [&](sim::Tasklet &t, unsigned g) {
+            if (t.id() == 0)
+                seen[sys.slotOf(g)] = g;
+            t.execute(10);
+        });
+        EXPECT_GT(q.sync(), 0.0);
+        return seen;
+    };
+    EXPECT_EQ(launchedIndices(512, 4),
+              (std::vector<unsigned>{0, 128, 256, 384}));
+    EXPECT_EQ(launchedIndices(10, 4), (std::vector<unsigned>{0, 2, 5, 7}));
+}
+
+TEST(CommandQueue, LaunchTimeIsSlowestDpuPlusLaunchLatency)
+{
+    // Both sampled DPUs (globals 0 and 32) share rank 0, so the launch
+    // ends when its straggler does.
+    PimSystem sys(smallSystem(64, 64, 2));
+    CommandQueue q(sys);
+    q.launch(sys.all(), 1, [](sim::Tasklet &t, unsigned g) {
+        t.execute(g == 0 ? 10 : 10000);
+    });
+    const double makespan = q.sync();
+    const double expected = sys.dpu(1).lastElapsedSeconds()
+        + sys.config().xferCfg.launchLatencySec;
+    EXPECT_NEAR(makespan, expected, 1e-12);
+    EXPECT_NEAR(q.elapsedSeconds(), expected, 1e-12);
+}
+
+TEST(CommandQueue, MemcpyScalesWithSystemSizeBeyondSaturation)
+{
+    auto copySeconds = [](unsigned dpus) {
+        PimSystem sys(smallSystem(dpus, 64, 2));
+        CommandQueue q(sys);
+        const double sec =
+            q.memcpy(sys.all(), 1 << 20, CopyDirection::PimToHost);
+        EXPECT_DOUBLE_EQ(q.elapsedSeconds(), sec);
+        EXPECT_EQ(q.transferredBytes(), uint64_t{dpus} << 20);
+        return sec;
+    };
+    // More total bytes over a saturated bus take longer.
+    EXPECT_GT(copySeconds(512), copySeconds(64));
+}
+
+TEST(CommandQueue, HostComputeUsesHostModel)
+{
+    PimSystemConfig cfg = smallSystem(64, 64, 2);
+    cfg.hostCfg.threads = 4;
+    PimSystem sys(cfg);
+    CommandQueue q(sys);
+    const double one_wave = q.hostCompute(4, 1000);
+    const double two_waves = q.hostCompute(8, 1000);
+    EXPECT_DOUBLE_EQ(one_wave, sys.hostModel().seconds(4, 1000));
+    EXPECT_NEAR(two_waves, 2 * one_wave, 1e-12);
+    EXPECT_NEAR(q.sync(), one_wave + two_waves, 1e-12);
+}
+
+TEST(CommandQueue, Fig5dStyleProgramWithAllocator)
+{
+    // The PIM-Metadata/PIM-Executed pseudo-program: one launch runs
+    // initAllocator, a second launch allocates on-device; the only
+    // host<->PIM traffic is the launches themselves.
+    PimSystemConfig cfg;
+    cfg.numDpus = 64;
+    cfg.sampleDpus = 2;
+    PimSystem sys(cfg);
+    CommandQueue q(sys);
+    std::vector<std::unique_ptr<alloc::Allocator>> allocators;
+    for (unsigned i = 0; i < sys.sampleCount(); ++i) {
+        AllocatorOverrides ov;
+        ov.numTasklets = 4;
+        ov.heapBytes = 1u << 20;
+        allocators.push_back(
+            makeAllocator(sys.dpu(i), AllocatorKind::PimMallocSw, ov));
+    }
+    q.launch(sys.all(), 1, [&](sim::Tasklet &t, unsigned g) {
+        allocators[sys.slotOf(g)]->init(t);
+    });
+    q.launch(sys.all(), 4, [&](sim::Tasklet &t, unsigned g) {
+        alloc::Allocator &a = *allocators[sys.slotOf(g)];
+        for (int i = 0; i < 16; ++i)
+            ASSERT_NE(a.malloc(t, 64), sim::kNullAddr);
+    });
+    EXPECT_GT(q.sync(), 0.0);
+    EXPECT_EQ(q.transferredBytes(), 0u);
+    for (const auto &a : allocators)
+        EXPECT_EQ(a->stats().mallocCalls, 4u * 16u);
 }
