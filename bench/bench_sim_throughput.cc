@@ -8,14 +8,14 @@
  * Cases: 1-tasklet (uncontended) and 16-tasklet (mutex-contended)
  * alloc/free loops on PIM-malloc-SW, the paper's default design point,
  * plus a 16-tasklet pure lock/unlock pounding loop that isolates mutex
- * contention (the case PIM_SIM_MUTEX=queue accelerates).
+ * contention (the case the parked-waiter mutex accelerates).
  *
  * Throughput is reported in *model* events: real cycle charges plus the
- * spin re-checks the queue mutex mode elides analytically. Both mutex
- * modes simulate the identical event stream (same clocks, same
- * breakdowns), so model events/s is the honest cross-mode metric —
- * queue mode does the same simulation work per wall second, just
- * without materializing the spin charges.
+ * spin re-checks the parked-waiter mutex elides analytically. It
+ * simulates the identical event stream the spin model would (same
+ * clocks, same breakdowns), so model events/s counts the same
+ * simulation work as the spin model, just without materializing the
+ * spin charges.
  *
  * --trace/--occupancy replay each case once, untimed, with the
  * per-tasklet trace hook attached (PIM_TRACE_SIM builds), so the
@@ -37,7 +37,6 @@
 #include "sim/dpu.hh"
 #include "sim/fiber.hh"
 #include "sim/mutex.hh"
-#include "sim/scheduler.hh"
 #include "telemetry/export.hh"
 #include "trace/chrome_trace.hh"
 #include "util/cli.hh"
@@ -137,7 +136,7 @@ runMutexCase(unsigned tasklets, unsigned iters, unsigned reps)
     double best = -1.0;
     for (unsigned rep = 0; rep < reps; ++rep) {
         sim::Dpu dpu;
-        sim::SimMutex mutex; // default mode: PIM_SIM_MUTEX
+        sim::SimMutex mutex;
 
         const auto start = std::chrono::steady_clock::now();
         dpu.run(tasklets, [&](sim::Tasklet &t) {
@@ -300,12 +299,6 @@ main(int argc, char **argv)
 
     // Run configuration, recorded alongside every result so BENCH_*
     // trajectories from different knob settings are distinguishable.
-    const char *sched_name =
-        sim::TaskletScheduler::policyFromEnv(std::getenv("PIM_SIM_SCHED"))
-                == sim::TaskletScheduler::Policy::Horizon
-            ? "horizon" : "naive";
-    const char *mutex_mode =
-        sim::SimMutex::modeName(sim::SimMutex::defaultMode());
     const unsigned threads = core::resolveSimThreads(knobs.threads);
     const bool affinity = core::ParallelDpuEngine::affinityFromEnv(
         std::getenv("PIM_SIM_AFFINITY"));
@@ -316,9 +309,8 @@ main(int argc, char **argv)
     results.push_back(runMutexCase(16, allocs / 4, reps));
 
     util::Table table(std::string("Simulator throughput (fiber backend: ")
-                      + sim::Fiber::backendName() + ", sched: "
-                      + sched_name + ", mutex: " + mutex_mode
-                      + ", best of " + std::to_string(reps) + ")");
+                      + sim::Fiber::backendName() + ", best of "
+                      + std::to_string(reps) + ")");
     table.setHeader({"Case", "Charged", "Elided", "Model events",
                      "Sim cycles", "Wall (ms)", "Events/sec"});
     for (const auto &r : results) {
@@ -374,8 +366,6 @@ main(int argc, char **argv)
         j.beginObject();
         j.key("bench").value("sim_throughput");
         j.key("fiber_backend").value(sim::Fiber::backendName());
-        j.key("sched").value(sched_name);
-        j.key("mutex_mode").value(mutex_mode);
         j.key("threads").value(threads);
         j.key("affinity").value(affinity);
         j.key("allocs_per_tasklet").value(allocs);

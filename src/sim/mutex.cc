@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "sim/scheduler.hh"
 #include "util/logging.hh"
@@ -12,9 +10,9 @@ namespace pim::sim {
 
 namespace {
 
-/** -1 = unset; otherwise a latched SimMutex::Mode. Atomic because
- *  allocators construct mutexes inside parallel multi-DPU launches. */
-std::atomic<int> g_default_mode{-1};
+/** Atomic because allocators construct mutexes inside parallel
+ *  multi-DPU launches. */
+std::atomic<SimMutex::Mode> g_default_mode{SimMutex::Mode::Queue};
 
 /** Election key of @p t's current position (clock in the high bits). */
 uint64_t
@@ -26,51 +24,22 @@ electionKeyOf(const Tasklet &t)
 } // namespace
 
 SimMutex::Mode
-SimMutex::modeFromEnv(const char *value)
-{
-    if (value == nullptr || *value == '\0'
-        || std::strcmp(value, "spin") == 0)
-        return Mode::Spin;
-    if (std::strcmp(value, "queue") == 0)
-        return Mode::Queue;
-    PIM_FATAL("unrecognized PIM_SIM_MUTEX value \"", value,
-              "\" (expected \"spin\" or \"queue\")");
-}
-
-SimMutex::Mode
 SimMutex::defaultMode()
 {
-    int m = g_default_mode.load(std::memory_order_relaxed);
-    if (m < 0) {
-        // Benign race: concurrent first calls parse the same value.
-        m = static_cast<int>(modeFromEnv(std::getenv("PIM_SIM_MUTEX")));
-        g_default_mode.store(m, std::memory_order_relaxed);
-    }
-    return static_cast<Mode>(m);
+    return g_default_mode.load(std::memory_order_relaxed);
 }
 
 void
 SimMutex::setDefaultMode(Mode mode)
 {
-    g_default_mode.store(static_cast<int>(mode),
-                         std::memory_order_relaxed);
-}
-
-void
-SimMutex::resetDefaultModeForTesting()
-{
-    g_default_mode.store(-1, std::memory_order_relaxed);
-}
-
-const char *
-SimMutex::modeName(Mode mode)
-{
-    return mode == Mode::Spin ? "spin" : "queue";
+    g_default_mode.store(mode, std::memory_order_relaxed);
 }
 
 void
 SimMutex::lock(Tasklet &t)
 {
+    PIM_ASSERT(holder_ != t.id(), "tasklet ", t.id(),
+               " re-locked a mutex it already holds");
     if (mode_ == Mode::Spin)
         lockSpin(t);
     else
@@ -83,8 +52,8 @@ SimMutex::lockSpin(Tasklet &t)
     bool spun = false;
     uint64_t spin_instrs = kAttemptInstrs;
     for (;;) {
-        if (!locked_) {
-            locked_ = true;
+        if (holder_ == kNoHolder) {
+            holder_ = t.id();
             ++acquisitions_;
             if (spun)
                 ++contended_;
@@ -97,7 +66,7 @@ SimMutex::lockSpin(Tasklet &t)
         // without changing where the busy-wait cycles are attributed.
         //
         // Under horizon scheduling this loop is also what makes lock
-        // hand-off cheap to simulate: `locked_` can only change while
+        // hand-off cheap to simulate: the lock can only change hands while
         // this tasklet is switched out, i.e. when a charge below
         // crosses its horizon, so every re-check that runs ahead inside
         // the horizon is charged but switch-free. (The Queue mode
@@ -127,8 +96,8 @@ SimMutex::parkWaiter(Tasklet &t, uint32_t batch_idx)
 void
 SimMutex::lockQueue(Tasklet &t)
 {
-    if (!locked_) {
-        locked_ = true;
+    if (holder_ == kNoHolder) {
+        holder_ = t.id();
         ++acquisitions_;
         t.execute(kAttemptInstrs, CycleKind::Run);
         return;
@@ -138,10 +107,10 @@ SimMutex::lockQueue(Tasklet &t)
     uint32_t batch_idx = 0;
     for (;;) {
         parkWaiter(t, batch_idx); // blocks until unlock() wakes us
-        if (!locked_) {
+        if (holder_ == kNoHolder) {
             // Our virtual re-check is the first one after the release:
             // acquire at exactly the clock the spin model would.
-            locked_ = true;
+            holder_ = t.id();
             ++acquisitions_;
             ++contended_;
             t.execute(kAttemptInstrs, CycleKind::Run);
@@ -159,9 +128,9 @@ bool
 SimMutex::tryLock(Tasklet &t)
 {
     t.execute(kAttemptInstrs, CycleKind::Run);
-    if (locked_)
+    if (holder_ != kNoHolder)
         return false;
-    locked_ = true;
+    holder_ = t.id();
     ++acquisitions_;
     return true;
 }
@@ -169,8 +138,10 @@ SimMutex::tryLock(Tasklet &t)
 void
 SimMutex::unlock(Tasklet &t)
 {
-    PIM_ASSERT(locked_, "unlock of a free mutex");
-    locked_ = false;
+    PIM_ASSERT(holder_ != kNoHolder, "unlock of a free mutex");
+    PIM_ASSERT(holder_ == t.id(), "tasklet ", t.id(),
+               " unlocked a mutex held by tasklet ", holder_);
+    holder_ = kNoHolder;
     if (!waiters_.empty()) {
         // The lock frees at the releaser's current election key (the
         // release charge below happens after the store, as in the spin

@@ -8,17 +8,12 @@
  *
  * Two execution modes produce bit-identical simulations:
  *
- *  - Spin (default): blocked tasklets literally re-check the lock with
- *    bounded exponential backoff; every re-check is one simulation
- *    event (cycle charge), and under heavy contention those events —
- *    and their context switches — dominate host wall time.
- *
- *  - Queue (PIM_SIM_MUTEX=queue): blocked tasklets park on a per-mutex
- *    FIFO wait list and deschedule entirely (they hold no election key
- *    in the scheduler heap). The spin model's re-check times are a
- *    pure function of the arrival clock, the deterministic backoff
- *    sequence (kAttemptInstrs doubling to kMaxSpinInstrs), and the
- *    pipeline width at each re-check (replayed from the scheduler's
+ *  - Queue (the mode every runtime mutex uses): blocked tasklets park
+ *    on a per-mutex FIFO wait list and deschedule entirely (they hold
+ *    no election key in the scheduler heap). The spin model's re-check
+ *    times are a pure function of the arrival clock, the deterministic
+ *    backoff sequence (kAttemptInstrs doubling to kMaxSpinInstrs), and
+ *    the pipeline width at each re-check (replayed from the scheduler's
  *    finish history), so unlock() advances every parked waiter's
  *    *virtual* spin schedule analytically and wakes exactly the waiter
  *    whose next re-check is the first one after the release — the same
@@ -27,15 +22,26 @@
  *    on resume: if a running tasklet grabbed the lock in between
  *    (which the spin model also allows — its re-check would have come
  *    first in (clock, id) election order), it re-parks and its virtual
- *    schedule continues. Allocation outcomes, per-tasklet clocks, and
- *    cycle breakdowns are therefore *exactly* equal across modes; only
- *    the number of real simulation events differs (the elided
- *    re-checks are counted in elidedSpinEvents(), and
- *    chargedEvents + elidedSpinEvents == spin-mode chargedEvents).
+ *    schedule continues.
+ *
+ *  - Spin (reference oracle for the differential tests): blocked
+ *    tasklets literally re-check the lock with bounded exponential
+ *    backoff; every re-check is one simulation event (cycle charge),
+ *    and under heavy contention those events — and their context
+ *    switches — dominate host wall time.
+ *
+ * Allocation outcomes, per-tasklet clocks, and cycle breakdowns are
+ * *exactly* equal across modes; only the number of real simulation
+ * events differs (the elided re-checks are counted in
+ * elidedSpinEvents(), and chargedEvents + elidedSpinEvents ==
+ * spin-mode chargedEvents).
+ *
+ * Misuse is fatal in both modes: unlocking a mutex another tasklet
+ * holds, or locking one the caller already holds.
  */
 
-#ifndef PIM_SIM_MUTEX_HH
-#define PIM_SIM_MUTEX_HH
+#ifndef PIM_SIM_SIM_MUTEX_HH
+#define PIM_SIM_SIM_MUTEX_HH
 
 #include <cstdint>
 #include <vector>
@@ -70,7 +76,7 @@ class SimMutex
   public:
     /** How blocked tasklets wait; see the file header. */
     enum class Mode : uint8_t {
-        Spin,  ///< simulate every backoff re-check (cycle-exact reference)
+        Spin,  ///< simulate every backoff re-check (test oracle)
         Queue, ///< park waiters, replay the spin schedule analytically
     };
 
@@ -81,33 +87,24 @@ class SimMutex
     /** Backoff cap: largest instruction batch between re-checks. */
     static constexpr uint64_t kMaxSpinInstrs = 256;
 
-    /** @param mode waiting strategy; defaults to PIM_SIM_MUTEX. */
+    /** @param mode waiting strategy; defaults to defaultMode(). */
     explicit SimMutex(Mode mode = defaultMode()) : mode_(mode) {}
 
-    /**
-     * Parse a PIM_SIM_MUTEX value: "spin" or unset -> Spin, "queue" ->
-     * Queue; anything else is a fatal config error (a typo must not
-     * silently select the default, mirroring PIM_SIM_SCHED).
-     */
-    static Mode modeFromEnv(const char *value);
-
-    /** Process-wide default mode, latched from PIM_SIM_MUTEX once. */
+    /** Mode of default-constructed mutexes: Queue unless overridden. */
     static Mode defaultMode();
 
-    /** Override the process-wide default (tests and differential runs). */
+    /**
+     * Test seam: override defaultMode() process-wide, so a differential
+     * test can run the Spin oracle on mutexes it cannot construct itself
+     * (those built inside an allocator factory).
+     */
     static void setDefaultMode(Mode mode);
-
-    /** Re-read PIM_SIM_MUTEX on the next defaultMode() call (tests). */
-    static void resetDefaultModeForTesting();
-
-    /** Short mode name for bench metadata ("spin" / "queue"). */
-    static const char *modeName(Mode mode);
 
     /**
      * Acquire the lock. In Spin mode a blocked tasklet busy-waits
      * (BusyWait charges); in Queue mode it parks and is woken with an
      * equivalent lump BusyWait charge. The successful final attempt is
-     * always charged as Run.
+     * always charged as Run. @pre @p t does not already hold the lock.
      */
     void lock(Tasklet &t);
 
@@ -115,14 +112,14 @@ class SimMutex
     bool tryLock(Tasklet &t);
 
     /**
-     * Release the lock. @pre held. In Queue mode this advances every
-     * parked waiter's virtual spin schedule past the release point and
-     * wakes the waiter whose re-check comes first.
+     * Release the lock. @pre @p t holds it. In Queue mode this
+     * advances every parked waiter's virtual spin schedule past the
+     * release point and wakes the waiter whose re-check comes first.
      */
     void unlock(Tasklet &t);
 
     /** True while some tasklet holds the lock. */
-    bool held() const { return locked_; }
+    bool held() const { return holder_ != kNoHolder; }
 
     /** The waiting strategy of this mutex instance. */
     Mode mode() const { return mode_; }
@@ -177,8 +174,12 @@ class SimMutex
     /** Append @p t to the wait list, virtually charging one batch. */
     void parkWaiter(Tasklet &t, uint32_t batch_idx);
 
+    /** holder_ value while the lock is free. */
+    static constexpr unsigned kNoHolder = ~0u;
+
     Mode mode_;
-    bool locked_ = false;
+    /** Id of the tasklet holding the lock, or kNoHolder. */
+    unsigned holder_ = kNoHolder;
     uint64_t acquisitions_ = 0;
     uint64_t contended_ = 0;
     uint64_t parked_ = 0;
@@ -197,4 +198,4 @@ class SimMutex
 
 } // namespace pim::sim
 
-#endif // PIM_SIM_MUTEX_HH
+#endif // PIM_SIM_SIM_MUTEX_HH

@@ -11,7 +11,7 @@
  *
  * Two scheduling policies produce bit-identical simulations:
  *
- *  - Horizon (default): when a tasklet is resumed the scheduler also
+ *  - Horizon (production): when a tasklet is resumed the scheduler also
  *    hands it a *horizon* — the largest virtual clock at which it still
  *    wins the "(smallest clock, lowest id)" election against the best
  *    waiting tasklet. Cycle charges below the horizon just advance the
@@ -25,7 +25,8 @@
  *
  *  - NaiveReference: the original event loop — yield back to the
  *    scheduler after *every* cycle charge and rescan all tasklets with
- *    an O(T) loop. Kept as the executable specification; the
+ *    an O(T) loop. Kept as the executable specification, reached only
+ *    by passing the policy to the constructor explicitly; the
  *    determinism test suite asserts Horizon matches it exactly.
  *
  * Parked tasklets: SimMutex's queue mode deschedules blocked tasklets
@@ -39,8 +40,8 @@
  * was in effect at any past virtual instant (pipelineWidthAt()).
  */
 
-#ifndef PIM_SIM_SCHEDULER_HH
-#define PIM_SIM_SCHEDULER_HH
+#ifndef PIM_SIM_TASKLET_SCHEDULER_HH
+#define PIM_SIM_TASKLET_SCHEDULER_HH
 
 #include <cstdint>
 #include <functional>
@@ -60,8 +61,8 @@ class TaskletScheduler
   public:
     /** Event-loop implementation; both produce identical simulations. */
     enum class Policy : uint8_t {
-        Horizon,        ///< run-ahead horizon scheduling (default)
-        NaiveReference, ///< yield-per-charge + O(T) scan (reference)
+        Horizon,        ///< run-ahead horizon scheduling (production)
+        NaiveReference, ///< yield-per-charge + O(T) scan (test oracle)
     };
 
     explicit TaskletScheduler(Dpu &dpu, Policy policy = Policy::Horizon);
@@ -71,13 +72,6 @@ class TaskletScheduler
 
     /** Run all spawned tasklets to completion (single host thread). */
     void runToCompletion();
-
-    /**
-     * Parse a PIM_SIM_SCHED value: "naive" -> NaiveReference,
-     * "horizon" or unset -> Horizon; anything else is a fatal config
-     * error (a typo must not silently select the default).
-     */
-    static Policy policyFromEnv(const char *value);
 
     /** Number of tasklets spawned. */
     size_t numTasklets() const { return tasklets_.size(); }
@@ -175,4 +169,4 @@ class TaskletScheduler
 
 } // namespace pim::sim
 
-#endif // PIM_SIM_SCHEDULER_HH
+#endif // PIM_SIM_TASKLET_SCHEDULER_HH

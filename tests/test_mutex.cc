@@ -1,8 +1,14 @@
 /**
  * @file
- * Tests for the simulated spin lock: exclusion, busy-wait accounting,
- * contention statistics, and tryLock semantics.
+ * Tests for the simulated lock: exclusion, busy-wait accounting,
+ * contention statistics, tryLock semantics and misuse diagnostics —
+ * each in both execution modes (the parked-waiter Queue mode every
+ * runtime mutex uses, and the Spin reference model) — plus the
+ * Queue-mode park/wake machinery.
  */
+
+#include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,10 +17,25 @@
 
 using namespace pim::sim;
 
-TEST(Mutex, UncontendedLockUnlock)
+namespace {
+
+std::string
+modeName(const testing::TestParamInfo<SimMutex::Mode> &info)
+{
+    return info.param == SimMutex::Mode::Spin ? "Spin" : "Queue";
+}
+
+} // namespace
+
+/** Behaviour both execution modes must share. */
+class Mutex : public testing::TestWithParam<SimMutex::Mode>
+{
+};
+
+TEST_P(Mutex, UncontendedLockUnlock)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(1, [&](Tasklet &t) {
         m.lock(t);
         EXPECT_TRUE(m.held());
@@ -25,10 +46,10 @@ TEST(Mutex, UncontendedLockUnlock)
     EXPECT_EQ(m.contendedAcquisitions(), 0u);
 }
 
-TEST(Mutex, MutualExclusion)
+TEST_P(Mutex, MutualExclusion)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     int inside = 0;
     int max_inside = 0;
     dpu.run(8, [&](Tasklet &t) {
@@ -46,10 +67,10 @@ TEST(Mutex, MutualExclusion)
     EXPECT_EQ(m.acquisitions(), 40u);
 }
 
-TEST(Mutex, ContentionProducesBusyWait)
+TEST_P(Mutex, ContentionProducesBusyWait)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(8, [&](Tasklet &t) {
         m.lock(t);
         t.execute(200); // long critical section forces spinning
@@ -59,10 +80,10 @@ TEST(Mutex, ContentionProducesBusyWait)
     EXPECT_GT(dpu.lastBreakdown().of(CycleKind::BusyWait), 0u);
 }
 
-TEST(Mutex, NoContentionNoBusyWait)
+TEST_P(Mutex, NoContentionNoBusyWait)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(1, [&](Tasklet &t) {
         for (int i = 0; i < 10; ++i) {
             m.lock(t);
@@ -73,10 +94,10 @@ TEST(Mutex, NoContentionNoBusyWait)
     EXPECT_EQ(dpu.lastBreakdown().of(CycleKind::BusyWait), 0u);
 }
 
-TEST(Mutex, TryLock)
+TEST_P(Mutex, TryLock)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     dpu.run(1, [&](Tasklet &t) {
         EXPECT_TRUE(m.tryLock(t));
         EXPECT_FALSE(m.tryLock(t)); // already held
@@ -86,11 +107,11 @@ TEST(Mutex, TryLock)
     });
 }
 
-TEST(Mutex, BusyWaitGrowsWithThreads)
+TEST_P(Mutex, BusyWaitGrowsWithThreads)
 {
-    auto busy_wait = [](unsigned tasklets) {
+    auto busy_wait = [mode = GetParam()](unsigned tasklets) {
         Dpu dpu;
-        SimMutex m;
+        SimMutex m(mode);
         dpu.run(tasklets, [&](Tasklet &t) {
             for (int i = 0; i < 4; ++i) {
                 m.lock(t);
@@ -104,12 +125,62 @@ TEST(Mutex, BusyWaitGrowsWithThreads)
     EXPECT_GT(busy_wait(4), busy_wait(1));
 }
 
-TEST(MutexDeath, UnlockFreePanics)
+INSTANTIATE_TEST_SUITE_P(Modes, Mutex,
+                         testing::Values(SimMutex::Mode::Spin,
+                                         SimMutex::Mode::Queue),
+                         modeName);
+
+/** Lock misuse is fatal in both modes, never silent or a hang. */
+class MutexDeath : public testing::TestWithParam<SimMutex::Mode>
+{
+};
+
+TEST_P(MutexDeath, UnlockFreePanics)
 {
     Dpu dpu;
-    SimMutex m;
+    SimMutex m(GetParam());
     EXPECT_DEATH(dpu.run(1, [&](Tasklet &t) { m.unlock(t); }),
                  "unlock of a free mutex");
+}
+
+TEST_P(MutexDeath, UnlockByNonHolderIsFatal)
+{
+    // Tasklet 1 releases the lock tasklet 0 is inside of: without the
+    // holder check this would silently let a third tasklet in.
+    Dpu dpu;
+    SimMutex m(GetParam());
+    EXPECT_DEATH(dpu.run(2, [&](Tasklet &t) {
+        if (t.id() == 0) {
+            m.lock(t);
+            t.execute(100);
+            m.unlock(t);
+        } else {
+            t.execute(10);
+            m.unlock(t);
+        }
+    }), "tasklet 1 unlocked a mutex held by tasklet 0");
+}
+
+TEST_P(MutexDeath, RelockByHolderIsFatal)
+{
+    // Non-recursive lock: under the spin model this used to busy-wait
+    // on itself forever.
+    Dpu dpu;
+    SimMutex m(GetParam());
+    EXPECT_DEATH(dpu.run(1, [&](Tasklet &t) {
+        m.lock(t);
+        m.lock(t);
+    }), "tasklet 0 re-locked a mutex it already holds");
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, MutexDeath,
+                         testing::Values(SimMutex::Mode::Spin,
+                                         SimMutex::Mode::Queue),
+                         modeName);
+
+TEST(MutexDefault, DefaultConstructedMutexParksWaiters)
+{
+    EXPECT_EQ(SimMutex().mode(), SimMutex::Mode::Queue);
 }
 
 TEST(MutexQueue, MutualExclusionAndParkStats)
@@ -204,9 +275,10 @@ TEST(MutexQueueDeath, LeakedLockIsDeadlockFatal)
 {
     // A tasklet that finishes while holding the lock strands every
     // parked waiter; the scheduler must fail loudly, not hang or
-    // silently drop tasklets.
+    // silently drop tasklets. Default-constructed: this is the mode
+    // every runtime mutex uses.
     Dpu dpu;
-    SimMutex m(SimMutex::Mode::Queue);
+    SimMutex m;
     EXPECT_DEATH(dpu.run(2, [&](Tasklet &t) {
         m.lock(t); // tasklet 0 wins and never unlocks
         t.execute(10);

@@ -15,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/command_queue.hh"
@@ -62,7 +63,7 @@ struct LaunchOutcome
     double makespan = 0.0;
 };
 
-using Program = void (*)(sim::Dpu &, unsigned);
+using Program = LaunchFn;
 
 LaunchOutcome
 launchWithThreads(unsigned num_dpus, unsigned threads, unsigned sample = 0,
@@ -75,7 +76,7 @@ launchWithThreads(unsigned num_dpus, unsigned threads, unsigned sample = 0,
     cfg.simThreads = threads;
     PimSystem sys(cfg);
     CommandQueue queue(sys);
-    queue.launchProgram(sys.all(), program);
+    queue.launchProgram(sys.all(), std::move(program));
     LaunchOutcome out;
     out.makespan = queue.sync();
     for (unsigned slot = 0; slot < sys.sampleCount(); ++slot) {
@@ -274,35 +275,23 @@ TEST(ParallelEngine, GraphUpdateDriverIsThreadCountInvariant)
 
 namespace {
 
-/** RAII override of the process-wide SimMutex default mode. */
-struct ScopedMutexMode
-{
-    sim::SimMutex::Mode prev;
-
-    explicit ScopedMutexMode(sim::SimMutex::Mode m)
-        : prev(sim::SimMutex::defaultMode())
-    {
-        sim::SimMutex::setDefaultMode(m);
-    }
-
-    ~ScopedMutexMode() { sim::SimMutex::setDefaultMode(prev); }
-};
-
 /** Per-DPU program with real intra-DPU lock contention, so the mutex
- *  execution mode matters to the simulated timeline. */
-void
-contendedProgram(sim::Dpu &dpu, unsigned idx)
+ *  execution mode @p mode matters to the simulated timeline. */
+Program
+contendedProgram(sim::SimMutex::Mode mode)
 {
-    sim::SimMutex mutex; // default mode: the latched process-wide one
-    dpu.run(8, [&mutex, idx](sim::Tasklet &t) {
-        for (unsigned i = 0; i < 6; ++i) {
-            mutex.lock(t);
-            t.execute(40 + idx % 5 + t.id());
-            mutex.unlock(t);
-            t.execute(10 + 3 * t.id());
-            t.dmaRead(0, 64);
-        }
-    });
+    return [mode](sim::Dpu &dpu, unsigned idx) {
+        sim::SimMutex mutex(mode);
+        dpu.run(8, [&mutex, idx](sim::Tasklet &t) {
+            for (unsigned i = 0; i < 6; ++i) {
+                mutex.lock(t);
+                t.execute(40 + idx % 5 + t.id());
+                mutex.unlock(t);
+                t.execute(10 + 3 * t.id());
+                t.dmaRead(0, 64);
+            }
+        });
+    };
 }
 
 } // namespace
@@ -412,19 +401,19 @@ TEST(ParallelEngine, PinnedPlacementIsDeterministicAndCovers)
 
 TEST(ParallelEngine, QueueMutexThreadCountInvariance)
 {
-    // PIM_SIM_MUTEX=queue must preserve the engine's bit-identity
+    // The parked-waiter mutex must preserve the engine's bit-identity
     // guarantee across PIM_SIM_THREADS settings...
-    ScopedMutexMode queue(sim::SimMutex::Mode::Queue);
-    const auto r1 = launchWithThreads(130, 1, 0, contendedProgram);
-    const auto r4 = launchWithThreads(130, 4, 0, contendedProgram);
-    const auto r7 = launchWithThreads(130, 7, 0, contendedProgram);
+    const auto queue = sim::SimMutex::Mode::Queue;
+    const auto r1 = launchWithThreads(130, 1, 0, contendedProgram(queue));
+    const auto r4 = launchWithThreads(130, 4, 0, contendedProgram(queue));
+    const auto r7 = launchWithThreads(130, 7, 0, contendedProgram(queue));
     expectIdentical(r1, r4);
     expectIdentical(r1, r7);
     EXPECT_GT(r1.breakdown[0].of(sim::CycleKind::BusyWait), 0u);
 
-    // ...and the queue-mode simulation matches the spin reference slot
-    // for slot (the cross-mode fidelity contract, at system scale).
-    ScopedMutexMode spin(sim::SimMutex::Mode::Spin);
-    const auto s4 = launchWithThreads(130, 4, 0, contendedProgram);
+    // ...and matches the spin reference slot for slot (the cross-mode
+    // fidelity contract, at system scale).
+    const auto s4 = launchWithThreads(
+        130, 4, 0, contendedProgram(sim::SimMutex::Mode::Spin));
     expectIdentical(r1, s4);
 }

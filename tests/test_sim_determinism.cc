@@ -184,7 +184,8 @@ TEST(SimDeterminism, GoldenTraceHash)
 }
 
 /**
- * The heart of the queue-mode fidelity contract (PIM_SIM_MUTEX=queue):
+ * The heart of the queue-mode fidelity contract (the parked-waiter
+ * mode every runtime mutex uses):
  * parked waiters with analytically replayed spin schedules must produce
  * *exactly* the simulation the spin model produces — same per-tasklet
  * clocks, same cycle breakdowns (BusyWait included), same interleaving
@@ -254,50 +255,12 @@ TEST(SimDeterminism, QueueMutexGoldenTraceHash)
            "Actual hash: 0x" << std::hex << r.traceHash;
 }
 
-TEST(SimDeterminism, MutexModeFromEnvParsing)
-{
-    EXPECT_EQ(SimMutex::modeFromEnv(nullptr), SimMutex::Mode::Spin);
-    EXPECT_EQ(SimMutex::modeFromEnv(""), SimMutex::Mode::Spin);
-    EXPECT_EQ(SimMutex::modeFromEnv("spin"), SimMutex::Mode::Spin);
-    EXPECT_EQ(SimMutex::modeFromEnv("queue"), SimMutex::Mode::Queue);
-}
-
-TEST(SimDeterminismDeath, UnknownMutexModeEnvValueIsFatal)
-{
-    // Same contract as PIM_SIM_SCHED: a typo must not silently pick a
-    // mode (it would invalidate spin-vs-queue differential runs).
-    EXPECT_EXIT(SimMutex::modeFromEnv("Queue"),
-                testing::ExitedWithCode(1), "PIM_SIM_MUTEX");
-    EXPECT_EXIT(SimMutex::modeFromEnv("garbage"),
-                testing::ExitedWithCode(1), "PIM_SIM_MUTEX");
-}
-
 TEST(SimDeterminism, RepeatedRunsAreIdentical)
 {
     const RunResult a = runWorkload(TaskletScheduler::Policy::Horizon);
     const RunResult b = runWorkload(TaskletScheduler::Policy::Horizon);
     EXPECT_EQ(a.traceHash, b.traceHash);
     EXPECT_EQ(a.clocks, b.clocks);
-}
-
-TEST(SimDeterminism, PolicyFromEnvParsing)
-{
-    // Dpu::runBodies latches policyFromEnv(getenv("PIM_SIM_SCHED"))
-    // once per process; the parse itself is checked directly.
-    EXPECT_EQ(TaskletScheduler::policyFromEnv(nullptr),
-              TaskletScheduler::Policy::Horizon);
-    EXPECT_EQ(TaskletScheduler::policyFromEnv("horizon"),
-              TaskletScheduler::Policy::Horizon);
-    EXPECT_EQ(TaskletScheduler::policyFromEnv("naive"),
-              TaskletScheduler::Policy::NaiveReference);
-}
-
-TEST(SimDeterminismDeath, UnknownPolicyEnvValueIsFatal)
-{
-    // A typo must not silently fall back to the default scheduler (it
-    // would make naive-vs-horizon differential runs vacuous).
-    EXPECT_EXIT(TaskletScheduler::policyFromEnv("Naive"),
-                testing::ExitedWithCode(1), "PIM_SIM_SCHED");
 }
 
 TEST(SimDeterminism, ExplicitPolicyConstruction)
