@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "alloc/allocator.hh"
 #include "core/pim_system.hh"
@@ -49,35 +49,38 @@ struct Shard
     std::vector<Edge> updateEdges; ///< src remapped to local ids
 };
 
-Shard
-buildShard(const UpdateWorkload &w, unsigned dpu, unsigned num_dpus)
+/**
+ * Partitions @p w over @p num_shards shards in one pass over its nodes
+ * and edges. Every shard gets its node count; only shards with
+ * @p wanted set get their edge lists. Local ids follow ascending global
+ * id within a shard and cover every node it owns, including nodes only
+ * the update stream touches; edges keep their input order.
+ */
+std::vector<Shard>
+buildShards(const UpdateWorkload &w, unsigned num_shards,
+            const std::vector<bool> &wanted)
 {
-    Shard s;
-    std::unordered_map<uint32_t, uint32_t> local;
-    auto localId = [&](uint32_t u) {
-        auto it = local.find(u);
-        if (it != local.end())
-            return it->second;
-        const uint32_t id = static_cast<uint32_t>(local.size());
-        local.emplace(u, id);
-        return id;
-    };
-    // Register every shard-owned node first so ids are stable and the
-    // table covers nodes that only appear in the update stream.
+    PIM_ASSERT(wanted.size() == num_shards, "one wanted flag per shard");
+    std::vector<Shard> shards(num_shards);
+    std::vector<uint32_t> owner(w.numNodes);
+    std::vector<uint32_t> local(w.numNodes);
     for (uint32_t u = 0; u < w.numNodes; ++u) {
-        if (shardOf(u, num_dpus) == dpu)
-            localId(u);
+        owner[u] = shardOf(u, num_shards);
+        local[u] = shards[owner[u]].numLocalNodes++;
     }
-    s.numLocalNodes = static_cast<uint32_t>(local.size());
-    for (const auto &e : w.baseEdges) {
-        if (shardOf(e.src, num_dpus) == dpu)
-            s.baseEdges.push_back({localId(e.src), e.dst});
-    }
-    for (const auto &e : w.updateEdges) {
-        if (shardOf(e.src, num_dpus) == dpu)
-            s.updateEdges.push_back({localId(e.src), e.dst});
-    }
-    return s;
+    auto scatter = [&](const std::vector<Edge> &edges,
+                       std::vector<Edge> Shard::*list) {
+        for (const Edge &e : edges) {
+            PIM_ASSERT(e.src < w.numNodes, "edge source ", e.src,
+                       " outside the ", w.numNodes, "-node table");
+            const uint32_t s = owner[e.src];
+            if (wanted[s])
+                (shards[s].*list).push_back({local[e.src], e.dst});
+        }
+    };
+    scatter(w.baseEdges, &Shard::baseEdges);
+    scatter(w.updateEdges, &Shard::updateEdges);
+    return shards;
 }
 
 /** The truncated update split of @p cfg's dataset. */
@@ -160,6 +163,7 @@ struct GraphUpdateTask::Impl
     Impl(const GraphUpdateConfig &cfg_in, core::CommandQueue &q,
          const core::DpuSet &partition, core::TenantId tenant_in);
 
+    void partitionDataset();
     void step();
     void commitPending(unsigned r);
     void observeRound(unsigned r, double doneSec);
@@ -186,7 +190,11 @@ struct GraphUpdateTask::Impl
     unsigned numShards;   ///< = part.size(): logical dataset shards
     unsigned rounds;      ///< total update rounds (>= 1)
     unsigned round = 0;   ///< rounds enqueued so far
-    UpdateWorkload w;     ///< owned: launch bodies run at drain time
+    UpdateWorkload w;     ///< owned until the build launch partitions it
+    /** The sampled members' shards: partitionDataset() fills them in
+     *  whichever build body runs first; each body moves its own out. */
+    std::once_flag partitioned;
+    std::vector<Shard> shards;
     /** Update edges owned by each logical shard (scatter byte counts
      *  of shipped rounds derive from the per-round slice of these). */
     std::vector<uint64_t> shardEdgeCounts;
@@ -304,8 +312,9 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
         [this](sim::Dpu &dpu, unsigned dpu_idx) {
             const unsigned slot = sys.slotOf(dpu_idx);
             SlotState &st = slots[slot];
-            st.shard = buildShard(
-                w, static_cast<unsigned>(slotShardIdx[slot]), numShards);
+            std::call_once(partitioned, [this] { partitionDataset(); });
+            st.shard = std::move(
+                shards[static_cast<unsigned>(slotShardIdx[slot])]);
             if (st.shard.numLocalNodes == 0)
                 return;
             st.active = true;
@@ -360,6 +369,18 @@ GraphUpdateTask::Impl::Impl(const GraphUpdateConfig &cfg_in,
             }
         },
         {.label = traced ? "graph build" : "", .tenant = tenant});
+}
+
+void
+GraphUpdateTask::Impl::partitionDataset()
+{
+    std::vector<bool> wanted(numShards, false);
+    for (const int idx : slotShardIdx) {
+        if (idx >= 0)
+            wanted[static_cast<unsigned>(idx)] = true;
+    }
+    shards = buildShards(w, numShards, wanted);
+    w = UpdateWorkload{}; // nothing reads the dataset after this
 }
 
 uint64_t
@@ -951,13 +972,17 @@ runGraphUpdate(const GraphUpdateConfig &cfg)
 
     const unsigned simulated = sys.sampleCount();
     std::vector<ShardOutcome> outcomes(simulated);
+    std::vector<bool> wanted(cfg.numDpus, false);
+    for (unsigned slot = 0; slot < simulated; ++slot)
+        wanted[sys.globalIndex(slot)] = true;
+    std::vector<Shard> shards = buildShards(w, cfg.numDpus, wanted);
 
     // One launch, heterogeneous per-DPU work: every sampled DPU builds
     // and updates its own shard (no two shards share state, so the
     // bodies are safely concurrent).
     queue.launchProgram(sys.all(), [&](sim::Dpu &dpu, unsigned dpu_idx) {
         const unsigned slot = sys.slotOf(dpu_idx);
-        const Shard shard = buildShard(w, dpu_idx, cfg.numDpus);
+        const Shard shard = std::move(shards[dpu_idx]);
         if (shard.numLocalNodes == 0)
             return;
 

@@ -250,27 +250,38 @@ TEST(ParallelEngine, ForEachPropagatesExceptions)
 
 TEST(ParallelEngine, GraphUpdateDriverIsThreadCountInvariant)
 {
-    auto run = [](unsigned threads) {
-        workloads::graph::GraphUpdateConfig cfg;
-        cfg.numDpus = 32;
-        cfg.sampleDpus = 8;
-        cfg.tasklets = 4;
-        cfg.gen.numNodes = 512;
-        cfg.gen.numEdges = 2048;
-        cfg.simThreads = threads;
-        return workloads::graph::runGraphUpdate(cfg);
-    };
-    const auto a = run(1);
-    const auto b = run(8);
-    EXPECT_EQ(a.updateSeconds, b.updateSeconds);
-    EXPECT_EQ(a.updateEdgesTotal, b.updateEdgesTotal);
-    EXPECT_EQ(a.allocStats.mallocCalls, b.allocStats.mallocCalls);
-    EXPECT_EQ(a.allocStats.freeCalls, b.allocStats.freeCalls);
-    EXPECT_EQ(a.fragmentation, b.fragmentation);
-    EXPECT_EQ(a.traffic.totalBytes(), b.traffic.totalBytes());
-    for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-        EXPECT_EQ(a.breakdown.cycles[k], b.breakdown.cycles[k]);
-    EXPECT_GT(a.allocStats.mallocCalls, 0u);
+    workloads::graph::GraphUpdateConfig sampled;
+    sampled.numDpus = 32;
+    sampled.sampleDpus = 8;
+    sampled.tasklets = 4;
+    sampled.gen.numNodes = 512;
+    sampled.gen.numEdges = 2048;
+    // The round-driven full-system form the graph benchmark runs: every
+    // build body races for the one-time dataset partition.
+    workloads::graph::GraphUpdateConfig rounds = sampled;
+    rounds.sampleDpus = 0;
+    rounds.shipUpdates = true;
+    rounds.updateRounds = 4;
+    for (const auto &cfg : {sampled, rounds}) {
+        SCOPED_TRACE(cfg.shipUpdates ? "round-driven full system"
+                                     : "one-shot sampled");
+        auto run = [&cfg](unsigned threads) {
+            workloads::graph::GraphUpdateConfig c = cfg;
+            c.simThreads = threads;
+            return workloads::graph::runGraphUpdate(c);
+        };
+        const auto a = run(1);
+        const auto b = run(8);
+        EXPECT_EQ(a.updateSeconds, b.updateSeconds);
+        EXPECT_EQ(a.updateEdgesTotal, b.updateEdgesTotal);
+        EXPECT_EQ(a.allocStats.mallocCalls, b.allocStats.mallocCalls);
+        EXPECT_EQ(a.allocStats.freeCalls, b.allocStats.freeCalls);
+        EXPECT_EQ(a.fragmentation, b.fragmentation);
+        EXPECT_EQ(a.traffic.totalBytes(), b.traffic.totalBytes());
+        for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
+            EXPECT_EQ(a.breakdown.cycles[k], b.breakdown.cycles[k]);
+        EXPECT_GT(a.allocStats.mallocCalls, 0u);
+    }
 }
 
 namespace {

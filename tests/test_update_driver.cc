@@ -135,3 +135,45 @@ TEST(UpdateDriver, Fig3StaticSlowdownGrowsWithGraphSize)
     EXPECT_GT(static_large, 1.5 * static_small);
     EXPECT_LT(dyn_large, 1.5 * dyn_small + 1e-6);
 }
+
+TEST(UpdateDriver, OneShotAndRoundDrivenPathsAgree)
+{
+    // One update round without fault injection is the one-shot launch
+    // split in two: both paths must shard the dataset and simulate
+    // every shard identically, full system and sampled alike.
+    const StructureKind structures[] = {StructureKind::StaticCsr,
+                                        StructureKind::LinkedList,
+                                        StructureKind::VarArray};
+    const core::AllocatorKind allocators[] = {
+        core::AllocatorKind::StrawMan, core::AllocatorKind::PimMallocSw,
+        core::AllocatorKind::PimMallocHwSw};
+    for (const StructureKind s : structures) {
+        for (const core::AllocatorKind a : allocators) {
+            for (const unsigned sample : {0u, 3u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << structureKindName(s) << " / allocator "
+                             << static_cast<int>(a) << " / sample "
+                             << sample);
+                auto cfg = smallCfg(s, a);
+                cfg.sampleDpus = sample;
+                cfg.shipUpdates = false;
+                const auto one = runGraphUpdate(cfg);
+                cfg.shipUpdates = true;
+                const auto rounds = runGraphUpdate(cfg);
+                EXPECT_EQ(one.updateSeconds, rounds.updateSeconds);
+                EXPECT_EQ(one.allocStats.mallocCalls,
+                          rounds.allocStats.mallocCalls);
+                EXPECT_EQ(one.traffic.totalBytes(),
+                          rounds.traffic.totalBytes());
+                for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
+                    EXPECT_EQ(one.breakdown.cycles[k],
+                              rounds.breakdown.cycles[k]);
+                EXPECT_EQ(one.fragmentation, rounds.fragmentation);
+                EXPECT_EQ(one.metadataBytes, rounds.metadataBytes);
+                EXPECT_EQ(one.allocStats.latency.p99(),
+                          rounds.allocStats.latency.p99());
+                EXPECT_GT(one.updateSeconds, 0.0);
+            }
+        }
+    }
+}
