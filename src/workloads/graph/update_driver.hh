@@ -67,26 +67,26 @@ struct GraphUpdateConfig
     sim::DpuConfig dpuCfg{};
     /**
      * Number of batched update rounds the stream is split into
-     * (streaming-ingest mode). 1 = the historical single measured
-     * launch. With R > 1 every shard inserts its edges in R slices,
-     * each slice a separate launch on the command queue, so a co-tenant
-     * run interleaves with other tenants at round granularity.
+     * (streaming-ingest mode). 1 = one measured launch inserting the
+     * whole stream. With R > 1 every shard inserts its edges in R
+     * slices, each slice a separate launch on the command queue, so a
+     * co-tenant run interleaves with other tenants at round
+     * granularity.
      */
     unsigned updateRounds = 1;
     /**
      * Ship each round's update edges (8 B/edge) to the owning DPUs over
      * the bus (double-buffered scatter) before the round's launch,
-     * instead of assuming the stream is resident. Implies the
-     * round-driven path even when updateRounds == 1.
+     * instead of assuming the stream is resident. Adds bus traffic
+     * only: the simulated DPU work is the same either way.
      */
     bool shipUpdates = false;
     /**
-     * Ingest cadence of the round-driven path: round r is not issued
+     * Ingest cadence of the update rounds: round r is not issued
      * before r * roundIntervalSec after the build completes (the
      * tenant's host lane idles until then), modeling an update stream
      * that arrives over time instead of being fully buffered. 0 =
-     * back-to-back rounds. Only meaningful with updateRounds > 1 or
-     * shipUpdates.
+     * back-to-back rounds. Only meaningful with updateRounds > 1.
      */
     double roundIntervalSec = 0.0;
     /** Workload split seed. */
@@ -99,19 +99,18 @@ struct GraphUpdateConfig
     /**
      * Metrics registry (nullptr = off): queue counters/utilization plus
      * the per-round ingest latency histogram "graph.round_sec"
-     * (completion minus the round's scheduled issue time; round-driven
-     * path only) and, when sloRoundSec is set, attainment under
-     * "graph.round".
+     * (completion minus the round's scheduled issue time) and, when
+     * sloRoundSec is set, attainment under "graph.round".
      */
     telemetry::Registry *metrics = nullptr;
     /** Round-latency SLO target in seconds (0 = no SLO declared). */
     double sloRoundSec = 0.0;
     /**
      * Fault injection (opt-in): when faultSpec.enabled(),
-     * runGraphUpdate takes the round-driven path, builds a FaultPlan
-     * from (faultSpec, faultSeed), attaches it to the run's queue, and
-     * — if rank failures are in play — arbitrates ranks through a
-     * RankScheduler holding spareRanks back so replacements exist.
+     * runGraphUpdate builds a FaultPlan from (faultSpec, faultSeed),
+     * attaches it to the run's queue, and — if rank failures are in
+     * play — arbitrates ranks through a RankScheduler holding
+     * spareRanks back so replacements exist.
      * Disabled by default; the fault-free path is byte-identical to
      * the pre-fault driver. (Co-tenant GraphUpdateTask callers wire
      * injector + scheduler themselves and only set faultPolicy.)
@@ -147,8 +146,7 @@ struct GraphUpdateResult
     /**
      * Queue-timeline wall time of the update rounds (completion of the
      * last round minus completion of the build launch) — the metric a
-     * co-tenant run compares against its solo baseline. 0 in the
-     * historical single-launch path, where no round boundary exists.
+     * co-tenant run compares against its solo baseline.
      */
     double wallSeconds = 0.0;
 
@@ -165,19 +163,22 @@ struct GraphUpdateResult
     double availability = 1.0;
 };
 
-/** Run the experiment. Deterministic in the config. */
+/** Run the experiment: a GraphUpdateTask over every rank of a fresh
+ *  system, stepped until done(). Deterministic in the config. */
 GraphUpdateResult runGraphUpdate(const GraphUpdateConfig &cfg);
 
 /**
  * The graph-update experiment as a *resumable stepper* on an externally
  * owned CommandQueue and rank partition — the co-tenant form of
- * runGraphUpdate. Construction shards the dataset across the
- * partition's logical DPUs (dense DpuSet::indexOf order) and enqueues
- * the untimed build launch; each step() enqueues one update round
+ * runGraphUpdate. Construction enqueues the untimed build launch, which
+ * shards the dataset across the partition's logical DPUs (dense
+ * DpuSet::indexOf order); each step() enqueues one update round
  * (optionally preceded by its double-buffered edge shipment) and
- * advances the task clock to the round's completion. A standalone run
+ * advances the task clock to the round's completion. The build drains
+ * together with round 0, so each DPU builds, updates and (in a
+ * single-round run) reclaims its shard in one go. A standalone run
  * ("construct over all ranks of a fresh system, step() until done()")
- * reproduces runGraphUpdate's round-driven path exactly.
+ * is exactly what runGraphUpdate runs.
  *
  * The task never joins the queue's timelines (no sync()); co-resident
  * tenants keep issuing while it runs.

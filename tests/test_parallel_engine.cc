@@ -256,15 +256,15 @@ TEST(ParallelEngine, GraphUpdateDriverIsThreadCountInvariant)
     sampled.tasklets = 4;
     sampled.gen.numNodes = 512;
     sampled.gen.numEdges = 2048;
-    // The round-driven full-system form the graph benchmark runs: every
-    // build body races for the one-time dataset partition.
+    // The full-system, shipped, multi-round form the graph benchmark
+    // runs: every build body races for the one-time dataset partition.
     workloads::graph::GraphUpdateConfig rounds = sampled;
     rounds.sampleDpus = 0;
     rounds.shipUpdates = true;
     rounds.updateRounds = 4;
     for (const auto &cfg : {sampled, rounds}) {
-        SCOPED_TRACE(cfg.shipUpdates ? "round-driven full system"
-                                     : "one-shot sampled");
+        SCOPED_TRACE(cfg.shipUpdates ? "full system, 4 shipped rounds"
+                                     : "sampled, 1 resident round");
         auto run = [&cfg](unsigned threads) {
             workloads::graph::GraphUpdateConfig c = cfg;
             c.simThreads = threads;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/command_queue.hh"
+#include "core/pim_system.hh"
+#include "fault/fault_plan.hh"
+#include "fault/injector.hh"
 #include "workloads/graph/update_driver.hh"
 
 using namespace pim;
@@ -27,6 +31,18 @@ smallCfg(StructureKind s, core::AllocatorKind a)
     cfg.gen.numEdges = 9000;
     cfg.gen.seed = 5;
     return cfg;
+}
+
+/** The system runGraphUpdate builds for @p cfg. */
+core::PimSystemConfig
+systemOf(const GraphUpdateConfig &cfg)
+{
+    core::PimSystemConfig scfg;
+    scfg.numDpus = cfg.numDpus;
+    scfg.sampleDpus = cfg.sampleDpus;
+    scfg.dpuCfg = cfg.dpuCfg;
+    scfg.simThreads = cfg.simThreads;
+    return scfg;
 }
 
 } // namespace
@@ -136,11 +152,11 @@ TEST(UpdateDriver, Fig3StaticSlowdownGrowsWithGraphSize)
     EXPECT_LT(dyn_large, 1.5 * dyn_small + 1e-6);
 }
 
-TEST(UpdateDriver, OneShotAndRoundDrivenPathsAgree)
+TEST(UpdateDriver, ShippedAndResidentStreamsAgree)
 {
-    // One update round without fault injection is the one-shot launch
-    // split in two: both paths must shard the dataset and simulate
-    // every shard identically, full system and sampled alike.
+    // Shipping the update stream over the bus changes only bus
+    // traffic: both runs must shard the dataset and simulate every
+    // shard identically, full system and sampled alike.
     const StructureKind structures[] = {StructureKind::StaticCsr,
                                         StructureKind::LinkedList,
                                         StructureKind::VarArray};
@@ -157,23 +173,66 @@ TEST(UpdateDriver, OneShotAndRoundDrivenPathsAgree)
                 auto cfg = smallCfg(s, a);
                 cfg.sampleDpus = sample;
                 cfg.shipUpdates = false;
-                const auto one = runGraphUpdate(cfg);
+                const auto resident = runGraphUpdate(cfg);
                 cfg.shipUpdates = true;
-                const auto rounds = runGraphUpdate(cfg);
-                EXPECT_EQ(one.updateSeconds, rounds.updateSeconds);
-                EXPECT_EQ(one.allocStats.mallocCalls,
-                          rounds.allocStats.mallocCalls);
-                EXPECT_EQ(one.traffic.totalBytes(),
-                          rounds.traffic.totalBytes());
+                const auto shipped = runGraphUpdate(cfg);
+                EXPECT_EQ(resident.updateSeconds, shipped.updateSeconds);
+                EXPECT_EQ(resident.allocStats.mallocCalls,
+                          shipped.allocStats.mallocCalls);
+                EXPECT_EQ(resident.traffic.totalBytes(),
+                          shipped.traffic.totalBytes());
                 for (size_t k = 0; k < sim::kNumCycleKinds; ++k)
-                    EXPECT_EQ(one.breakdown.cycles[k],
-                              rounds.breakdown.cycles[k]);
-                EXPECT_EQ(one.fragmentation, rounds.fragmentation);
-                EXPECT_EQ(one.metadataBytes, rounds.metadataBytes);
-                EXPECT_EQ(one.allocStats.latency.p99(),
-                          rounds.allocStats.latency.p99());
-                EXPECT_GT(one.updateSeconds, 0.0);
+                    EXPECT_EQ(resident.breakdown.cycles[k],
+                              shipped.breakdown.cycles[k]);
+                EXPECT_EQ(resident.fragmentation, shipped.fragmentation);
+                EXPECT_EQ(resident.metadataBytes, shipped.metadataBytes);
+                EXPECT_EQ(resident.allocStats.latency.p99(),
+                          shipped.allocStats.latency.p99());
+                EXPECT_GT(resident.updateSeconds, 0.0);
             }
         }
     }
+}
+
+TEST(UpdateDriver, BuildDrainsWithFirstRound)
+{
+    // The untimed build launch resolves in round 0's drain, so a
+    // standalone task drains once per round and each DPU builds and
+    // updates its shard back to back.
+    for (const unsigned rounds : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << rounds << " rounds");
+        auto cfg = smallCfg(StructureKind::LinkedList,
+                            core::AllocatorKind::PimMallocSw);
+        cfg.updateRounds = rounds;
+        core::PimSystem sys(systemOf(cfg));
+        core::CommandQueue queue(sys);
+        GraphUpdateTask task(cfg, queue, sys.all());
+        while (!task.done())
+            task.step();
+        EXPECT_EQ(queue.drainStats().drains, rounds);
+        EXPECT_GT(task.result().updateSeconds, 0.0);
+    }
+    // Even a single round has a round boundary on the queue timeline.
+    const auto r = runGraphUpdate(smallCfg(
+        StructureKind::LinkedList, core::AllocatorKind::PimMallocSw));
+    EXPECT_GT(r.wallSeconds, 0.0);
+}
+
+TEST(UpdateDriverDeathTest, BuildFailureUnderFaultInjectionIsFatal)
+{
+    // Rank 0 is dead before the build launch starts; the first step()
+    // finds the failed build right after round 0's drain.
+    auto cfg = smallCfg(StructureKind::LinkedList,
+                        core::AllocatorKind::PimMallocSw);
+    cfg.simThreads = 1;
+    core::PimSystem sys(systemOf(cfg));
+    fault::FaultEvent dead;
+    dead.kind = fault::FaultKind::RankFail;
+    dead.atSec = 0.0;
+    dead.rank = 0;
+    fault::FaultInjector inj(fault::FaultPlan({}, {dead}, sys.numRanks()));
+    core::CommandQueue queue(sys);
+    queue.attachFaultInjector(&inj);
+    GraphUpdateTask task(cfg, queue, sys.all());
+    EXPECT_DEATH(task.step(), "graph build failed under fault injection");
 }
