@@ -49,19 +49,37 @@ BuddyTree::levelFor(uint32_t rounded) const
         std::countr_zero(heapBytes_ / rounded));
 }
 
+template <class F>
+decltype(auto)
+BuddyTree::withConcreteStore(F &&f)
+{
+    switch (store_.kind()) {
+      case StoreKind::Direct:
+        return f(static_cast<DirectStore &>(store_));
+      case StoreKind::SwBuffer:
+        return f(static_cast<SwBufferStore &>(store_));
+      case StoreKind::DataCache:
+        return f(static_cast<DataCacheStore &>(store_));
+      case StoreKind::HwCache:
+        return f(static_cast<HwCacheStore &>(store_));
+    }
+    PIM_PANIC("unknown metadata store kind");
+}
+
+template <class Store>
 sim::MramAddr
-BuddyTree::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
-                    uint32_t target)
+BuddyTree::tryAlloc(Store &s, sim::Tasklet &t, uint32_t node,
+                    uint32_t level, uint32_t target)
 {
     ++stats_.nodesVisited;
     t.execute(cost::kNodeVisitInstrs);
-    const NodeState state = store_.get(t, node);
+    const NodeState state = s.get(t, node);
 
     if (level == target) {
         if (state != NodeState::Free)
             return sim::kNullAddr;
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, node, NodeState::Allocated);
+        s.set(t, node, NodeState::Allocated);
         return heapBase_ + offsetOf(node, level);
     }
 
@@ -73,13 +91,13 @@ BuddyTree::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
         // by free()'s merge path), so mark this node divided and
         // descend.
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, node, NodeState::Split);
+        s.set(t, node, NodeState::Split);
     }
 
     const uint32_t left = 2 * node + 1;
-    sim::MramAddr r = tryAlloc(t, left, level + 1, target);
+    sim::MramAddr r = tryAlloc(s, t, left, level + 1, target);
     if (r == sim::kNullAddr)
-        r = tryAlloc(t, left + 1, level + 1, target);
+        r = tryAlloc(s, t, left + 1, level + 1, target);
 
     if (r == sim::kNullAddr && state == NodeState::Free) {
         // We split a free node but neither child could satisfy the
@@ -87,23 +105,23 @@ BuddyTree::tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
         // allocator mutex, which the callers prevent; restore anyway to
         // keep the structure canonical).
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, node, NodeState::Free);
+        s.set(t, node, NodeState::Free);
     } else if (r != sim::kNullAddr) {
         // Propagate fullness: if both children are now exhausted, mark
         // this node Full so later searches prune the subtree.
         ++stats_.nodesVisited;
         t.execute(cost::kNodeVisitInstrs);
-        const NodeState ls = store_.get(t, left);
+        const NodeState ls = s.get(t, left);
         NodeState rs = NodeState::Free;
         if (ls == NodeState::Allocated || ls == NodeState::Full) {
             ++stats_.nodesVisited;
             t.execute(cost::kNodeVisitInstrs);
-            rs = store_.get(t, left + 1);
+            rs = s.get(t, left + 1);
         }
         if ((ls == NodeState::Allocated || ls == NodeState::Full)
             && (rs == NodeState::Allocated || rs == NodeState::Full)) {
             t.execute(cost::kNodeUpdateInstrs);
-            store_.set(t, node, NodeState::Full);
+            s.set(t, node, NodeState::Full);
         }
     }
     return r;
@@ -126,7 +144,8 @@ BuddyTree::alloc(sim::Tasklet &t, uint32_t size)
         return sim::kNullAddr;
     }
     const uint32_t target = levelFor(rounded);
-    const sim::MramAddr r = tryAlloc(t, 0, 0, target);
+    const sim::MramAddr r = withConcreteStore(
+        [&](auto &s) { return tryAlloc(s, t, 0, 0, target); });
     if (r == sim::kNullAddr) {
         ++stats_.failures;
         return sim::kNullAddr;
@@ -141,9 +160,16 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
 {
     if (addr < heapBase_ || addr >= heapBase_ + heapBytes_)
         return 0;
-    const uint32_t offset = addr - heapBase_;
-    if (offset % minBlock_ != 0)
+    if ((addr - heapBase_) % minBlock_ != 0)
         return 0;
+    return withConcreteStore([&](auto &s) { return freeIn(s, t, addr); });
+}
+
+template <class Store>
+uint32_t
+BuddyTree::freeIn(Store &s, sim::Tasklet &t, sim::MramAddr addr)
+{
+    const uint32_t offset = addr - heapBase_;
 
     // Descend from the root following the child containing `offset`
     // until the node allocated exactly at `offset` is found.
@@ -152,7 +178,7 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
     for (;;) {
         ++stats_.nodesVisited;
         t.execute(cost::kNodeVisitInstrs);
-        const NodeState state = store_.get(t, node);
+        const NodeState state = s.get(t, node);
         const uint32_t node_off = offsetOf(node, level);
         if (state == NodeState::Allocated) {
             if (node_off != offset)
@@ -171,7 +197,7 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
 
     const uint32_t freed = blockSize(level);
     t.execute(cost::kNodeUpdateInstrs);
-    store_.set(t, node, NodeState::Free);
+    s.set(t, node, NodeState::Free);
 
     // Merge upward while the buddy is also free.
     while (level > 0) {
@@ -179,11 +205,11 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
             ((node - 1) ^ 1u) + 1; // sibling in heap order
         ++stats_.nodesVisited;
         t.execute(cost::kNodeVisitInstrs);
-        if (store_.get(t, buddy) != NodeState::Free)
+        if (s.get(t, buddy) != NodeState::Free)
             break;
         const uint32_t parent = (node - 1) / 2;
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, parent, NodeState::Free);
+        s.set(t, parent, NodeState::Free);
         node = parent;
         --level;
     }
@@ -196,10 +222,10 @@ BuddyTree::free(sim::Tasklet &t, sim::MramAddr addr)
         const uint32_t parent = (node - 1) / 2;
         ++stats_.nodesVisited;
         t.execute(cost::kNodeVisitInstrs);
-        if (store_.get(t, parent) != NodeState::Full)
+        if (s.get(t, parent) != NodeState::Full)
             break;
         t.execute(cost::kNodeUpdateInstrs);
-        store_.set(t, parent, NodeState::Split);
+        s.set(t, parent, NodeState::Split);
         node = parent;
         --level;
     }

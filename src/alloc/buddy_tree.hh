@@ -4,7 +4,9 @@
  * 2-bit-per-node metadata tree, as used by UPMEM's buddy_alloc(), the
  * straw-man buddy_alloc_PIM_DRAM, and PIM-malloc's backend. The tree is
  * generic over a MetadataStore so the same algorithm runs with direct,
- * software-buffered, or hardware-cached metadata access.
+ * software-buffered, or hardware-cached metadata access. Each alloc()
+ * and free() dispatches on the store's concrete type once and then
+ * walks the tree through non-virtual node accesses.
  */
 
 #ifndef PIM_ALLOC_BUDDY_TREE_HH
@@ -130,9 +132,18 @@ class BuddyTree
         return (node - first) * blockSize(level);
     }
 
-    /** Recursive first-fit descent. */
-    sim::MramAddr tryAlloc(sim::Tasklet &t, uint32_t node, uint32_t level,
-                           uint32_t target);
+    /** Call @p f with the store cast to its concrete type. */
+    template <class F>
+    decltype(auto) withConcreteStore(F &&f);
+
+    /** Recursive first-fit descent through store @p s. */
+    template <class Store>
+    sim::MramAddr tryAlloc(Store &s, sim::Tasklet &t, uint32_t node,
+                           uint32_t level, uint32_t target);
+
+    /** free()'s descent, merge and un-full walks through store @p s. */
+    template <class Store>
+    uint32_t freeIn(Store &s, sim::Tasklet &t, sim::MramAddr addr);
 
     MetadataStore &store_;
     sim::MramAddr heapBase_;

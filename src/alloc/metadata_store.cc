@@ -6,33 +6,15 @@
 namespace pim::alloc {
 
 MetadataStore::MetadataStore(sim::Dpu &dpu, sim::MramAddr mram_base,
-                             uint32_t num_nodes)
+                             uint32_t num_nodes, StoreKind kind)
     : dpu_(dpu), base_(mram_base), numNodes_(num_nodes),
-      wordCount_((num_nodes + kNodesPerWord - 1) / kNodesPerWord)
+      wordCount_((num_nodes + kNodesPerWord - 1) / kNodesPerWord),
+      kind_(kind)
 {
     PIM_ASSERT(num_nodes > 0, "metadata store needs at least one node");
     PIM_ASSERT(static_cast<uint64_t>(mram_base) + bytes()
                    <= dpu.mram().size(),
                "metadata array does not fit in MRAM");
-}
-
-NodeState
-MetadataStore::rawGet(uint32_t node) const
-{
-    PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
-    const uint32_t word = dpu_.mram().read<uint32_t>(wordAddr(node));
-    return static_cast<NodeState>((word >> bitShift(node)) & 0x3u);
-}
-
-void
-MetadataStore::rawSet(uint32_t node, NodeState s)
-{
-    PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
-    const sim::MramAddr addr = wordAddr(node);
-    uint32_t word = dpu_.mram().read<uint32_t>(addr);
-    word &= ~(0x3u << bitShift(node));
-    word |= static_cast<uint32_t>(s) << bitShift(node);
-    dpu_.mram().write<uint32_t>(addr, word);
 }
 
 void
@@ -43,35 +25,12 @@ MetadataStore::reset(sim::Tasklet &t)
     t.dmaWrite(base_, bytes(), sim::TrafficClass::Metadata);
 }
 
-// --- DirectStore ---
-
-NodeState
-DirectStore::get(sim::Tasklet &t, uint32_t node)
-{
-    (void)t;
-    ++accesses_;
-    return rawGet(node);
-}
-
-void
-DirectStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
-{
-    (void)t;
-    ++accesses_;
-    rawSet(node, s);
-}
-
-void
-DirectStore::flush(sim::Tasklet &t)
-{
-    (void)t;
-}
-
 // --- SwBufferStore ---
 
 SwBufferStore::SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                              uint32_t num_nodes, uint32_t buffer_bytes)
-    : MetadataStore(dpu, mram_base, num_nodes), bufferBytes_(buffer_bytes)
+    : MetadataStore(dpu, mram_base, num_nodes, StoreKind::SwBuffer),
+      bufferBytes_(buffer_bytes)
 {
     PIM_ASSERT(buffer_bytes >= kWordBytes,
                "SW buffer must hold at least one word");
@@ -79,15 +38,8 @@ SwBufferStore::SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base,
 }
 
 void
-SwBufferStore::ensureResident(sim::Tasklet &t, uint32_t node)
+SwBufferStore::reload(sim::Tasklet &t, uint32_t window)
 {
-    const uint32_t byte_off = (node / kNodesPerWord) * kWordBytes;
-    const uint32_t window = byte_off - byte_off % bufferBytes_;
-    if (valid_ && window == windowStart_) {
-        ++hits_;
-        t.execute(cost::kSwBufferHitInstrs);
-        return;
-    }
     ++misses_;
     t.execute(cost::kSwBufferMissInstrs);
     // Coarse-grained policy: flush the whole window, reload the whole
@@ -102,23 +54,6 @@ SwBufferStore::ensureResident(sim::Tasklet &t, uint32_t node)
     t.dmaRead(base_ + windowStart_, resident, sim::TrafficClass::Metadata);
     valid_ = true;
     dirty_ = false;
-}
-
-NodeState
-SwBufferStore::get(sim::Tasklet &t, uint32_t node)
-{
-    ++accesses_;
-    ensureResident(t, node);
-    return rawGet(node);
-}
-
-void
-SwBufferStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
-{
-    ++accesses_;
-    ensureResident(t, node);
-    rawSet(node, s);
-    dirty_ = true;
 }
 
 void
@@ -146,8 +81,8 @@ SwBufferStore::reset(sim::Tasklet &t)
 DataCacheStore::DataCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                                uint32_t num_nodes, uint32_t line_bytes,
                                uint32_t lines)
-    : MetadataStore(dpu, mram_base, num_nodes), lineBytes_(line_bytes),
-      lines_(lines)
+    : MetadataStore(dpu, mram_base, num_nodes, StoreKind::DataCache),
+      lineBytes_(line_bytes), lines_(lines)
 {
     PIM_ASSERT(line_bytes >= kWordBytes && lines > 0,
                "invalid data cache geometry");
@@ -229,7 +164,7 @@ DataCacheStore::reset(sim::Tasklet &t)
 
 HwCacheStore::HwCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base,
                            uint32_t num_nodes)
-    : MetadataStore(dpu, mram_base, num_nodes)
+    : MetadataStore(dpu, mram_base, num_nodes, StoreKind::HwCache)
 {
     dpu.buddyCache().init();
 }
@@ -247,7 +182,7 @@ HwCacheStore::ensureResident(sim::Tasklet &t, sim::MramAddr word_addr)
     // then fill via write_bc, writing back a dirty LRU victim if any.
     t.execute(cost::kHwCacheMissInstrs);
     t.dmaRead(word_addr, kWordBytes, sim::TrafficClass::Metadata);
-    const uint32_t value = dpu_.mram().read<uint32_t>(word_addr);
+    const uint32_t value = dpu_.mram().readUnchecked<uint32_t>(word_addr);
     auto victim = cache.insert(word_addr, value, false);
     t.stall(lat, sim::CycleKind::Run); // write_bc fill
     if (victim) {
@@ -281,7 +216,7 @@ HwCacheStore::set(sim::Tasklet &t, uint32_t node, NodeState s)
     // coherent, while the traffic cost of persisting the word is charged
     // when the dirty entry is evicted or flushed.
     t.stall(dpu_.config().buddyCache.accessCycles, sim::CycleKind::Run);
-    dpu_.buddyCache().write(wa, dpu_.mram().read<uint32_t>(wa));
+    dpu_.buddyCache().write(wa, dpu_.mram().readUnchecked<uint32_t>(wa));
 }
 
 void

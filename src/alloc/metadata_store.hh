@@ -24,9 +24,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "alloc/cost_model.hh"
 #include "sim/dpu.hh"
 #include "sim/tasklet.hh"
 #include "sim/types.hh"
+#include "util/logging.hh"
 
 namespace pim::alloc {
 
@@ -40,7 +42,15 @@ enum class NodeState : uint8_t {
                    ///< cost scales with tree depth, not live blocks
 };
 
-/** Abstract access path to the packed node-state array. */
+/** The concrete store behind a MetadataStore reference. */
+enum class StoreKind : uint8_t { Direct, SwBuffer, DataCache, HwCache };
+
+/**
+ * Abstract access path to the packed node-state array. The concrete
+ * stores are final, so code that knows the concrete type (BuddyTree
+ * dispatches on kind() once per alloc/free) calls get()/set() without
+ * virtual dispatch.
+ */
 class MetadataStore
 {
   public:
@@ -48,9 +58,14 @@ class MetadataStore
      * @param dpu        owning DPU (storage + traffic accounting).
      * @param mram_base  MRAM byte offset of the packed state array.
      * @param num_nodes  number of tree nodes covered.
+     * @param kind       the concrete type constructing this base.
      */
-    MetadataStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes);
+    MetadataStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes,
+                  StoreKind kind);
     virtual ~MetadataStore() = default;
+
+    /** The concrete store type. */
+    StoreKind kind() const { return kind_; }
 
     /** Read one node's state, charging this store's access cost. */
     virtual NodeState get(sim::Tasklet &t, uint32_t node) = 0;
@@ -61,7 +76,11 @@ class MetadataStore
     /** Write back any dirty cached state (teardown / handoff). */
     virtual void flush(sim::Tasklet &t) = 0;
 
-    /** Zero the whole array (allocator init). Charges bulk DMA. */
+    /**
+     * Zero the whole array (allocator init). Charges one bulk DMA. The
+     * host-side zeroing goes through FlatMemory::fill, so resetting an
+     * array that was never written touches no host memory.
+     */
     virtual void reset(sim::Tasklet &t);
 
     /** Metadata footprint in MRAM bytes (4-byte word granularity). */
@@ -95,28 +114,66 @@ class MetadataStore
         return (node % kNodesPerWord) * 2;
     }
 
-    /** Read a node's state straight from the MRAM array (no cost). */
-    NodeState rawGet(uint32_t node) const;
+    /**
+     * Read a node's state straight from the MRAM array (no cost). The
+     * node index is checked; the array itself was checked against the
+     * bank once, at construction, so the word access is not.
+     */
+    NodeState
+    rawGet(uint32_t node) const
+    {
+        PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
+        const uint32_t word =
+            dpu_.mram().readUnchecked<uint32_t>(wordAddr(node));
+        return static_cast<NodeState>((word >> bitShift(node)) & 0x3u);
+    }
 
     /** Write a node's state straight into the MRAM array (no cost). */
-    void rawSet(uint32_t node, NodeState s);
+    void
+    rawSet(uint32_t node, NodeState s)
+    {
+        PIM_ASSERT(node < numNodes_, "node index out of range: ", node);
+        const sim::MramAddr addr = wordAddr(node);
+        uint32_t word = dpu_.mram().readUnchecked<uint32_t>(addr);
+        word &= ~(0x3u << bitShift(node));
+        word |= static_cast<uint32_t>(s) << bitShift(node);
+        dpu_.mram().writeUnchecked<uint32_t>(addr, word);
+    }
 
     sim::Dpu &dpu_;
     sim::MramAddr base_;
     uint32_t numNodes_;
     uint32_t wordCount_;
     uint64_t accesses_ = 0;
+
+  private:
+    StoreKind kind_;
 };
 
 /** Zero-cost direct access (host-side execution / test oracle). */
-class DirectStore : public MetadataStore
+class DirectStore final : public MetadataStore
 {
   public:
-    using MetadataStore::MetadataStore;
+    DirectStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes)
+        : MetadataStore(dpu, mram_base, num_nodes, StoreKind::Direct)
+    {
+    }
 
-    NodeState get(sim::Tasklet &t, uint32_t node) override;
-    void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
-    void flush(sim::Tasklet &t) override;
+    NodeState
+    get(sim::Tasklet &, uint32_t node) override
+    {
+        ++accesses_;
+        return rawGet(node);
+    }
+
+    void
+    set(sim::Tasklet &, uint32_t node, NodeState s) override
+    {
+        ++accesses_;
+        rawSet(node, s);
+    }
+
+    void flush(sim::Tasklet &) override {}
 };
 
 /**
@@ -124,7 +181,7 @@ class DirectStore : public MetadataStore
  * aligned window of the metadata array; a miss flushes the whole window
  * (if dirty) and reloads the window containing the requested word.
  */
-class SwBufferStore : public MetadataStore
+class SwBufferStore final : public MetadataStore
 {
   public:
     /**
@@ -134,8 +191,23 @@ class SwBufferStore : public MetadataStore
     SwBufferStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes,
                   uint32_t buffer_bytes = 2048);
 
-    NodeState get(sim::Tasklet &t, uint32_t node) override;
-    void set(sim::Tasklet &t, uint32_t node, NodeState s) override;
+    NodeState
+    get(sim::Tasklet &t, uint32_t node) override
+    {
+        ++accesses_;
+        ensureResident(t, node);
+        return rawGet(node);
+    }
+
+    void
+    set(sim::Tasklet &t, uint32_t node, NodeState s) override
+    {
+        ++accesses_;
+        ensureResident(t, node);
+        rawSet(node, s);
+        dirty_ = true;
+    }
+
     void flush(sim::Tasklet &t) override;
     void reset(sim::Tasklet &t) override;
 
@@ -153,7 +225,22 @@ class SwBufferStore : public MetadataStore
 
   private:
     /** Make the window containing @p node resident; charge costs. */
-    void ensureResident(sim::Tasklet &t, uint32_t node);
+    void
+    ensureResident(sim::Tasklet &t, uint32_t node)
+    {
+        // windowStart_ is a multiple of bufferBytes_, so this is the
+        // "same window" test without a division.
+        const uint32_t byte_off = (node / kNodesPerWord) * kWordBytes;
+        if (valid_ && byte_off - windowStart_ < bufferBytes_) [[likely]] {
+            ++hits_;
+            t.execute(cost::kSwBufferHitInstrs);
+            return;
+        }
+        reload(t, byte_off - byte_off % bufferBytes_);
+    }
+
+    /** Miss path: flush the window if dirty, load @p window. */
+    void reload(sim::Tasklet &t, uint32_t window);
 
     uint32_t bufferBytes_;
     uint32_t windowStart_ = 0; ///< byte offset into the array
@@ -173,7 +260,7 @@ class SwBufferStore : public MetadataStore
  * fine-grained metadata cache remains necessary even when PIM cores
  * gain a general-purpose cache.
  */
-class DataCacheStore : public MetadataStore
+class DataCacheStore final : public MetadataStore
 {
   public:
     /**
@@ -217,7 +304,7 @@ class DataCacheStore : public MetadataStore
  * BuddyCache at 4-byte word granularity; misses fetch exactly one word
  * from MRAM, dirty LRU victims are written back.
  */
-class HwCacheStore : public MetadataStore
+class HwCacheStore final : public MetadataStore
 {
   public:
     HwCacheStore(sim::Dpu &dpu, sim::MramAddr mram_base, uint32_t num_nodes);

@@ -116,6 +116,7 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
 
     ThreadCache &cache = *caches_.at(t.id() % caches_.size());
     const int cls = cache.classFor(size);
+    const auto owner = static_cast<uint8_t>(t.id());
 
     if (cls < 0) {
         // Case #3 (Fig 10(c)): thread cache bypass.
@@ -124,7 +125,7 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
             ++stats_.failures;
             return sim::kNullAddr;
         }
-        live_[addr] = LiveBlock{size, true, 0, t.id(), sim::kNullAddr};
+        live_.insert(addr, LiveBlock{size, 0, owner, true});
         stats_.adjustReserved(static_cast<int64_t>(tree_->roundSize(size)));
         stats_.adjustRequested(static_cast<int64_t>(size));
         stats_.recordMalloc(ServiceLevel::Bypass, start, t.clock() - start,
@@ -150,8 +151,7 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
                 // WRAM record budget exhausted: serve the request from
                 // the whole 4 KB block (degenerates to bypass).
                 addr = span;
-                live_[addr] =
-                    LiveBlock{size, true, 0, t.id(), sim::kNullAddr};
+                live_.insert(addr, LiveBlock{size, 0, owner, true});
                 stats_.adjustReserved(cfg_.spanBytes);
                 stats_.adjustRequested(static_cast<int64_t>(size));
                 stats_.recordMalloc(ServiceLevel::Bypass, start,
@@ -166,11 +166,8 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
         return sim::kNullAddr;
     }
 
-    const sim::MramAddr heap_base = tree_->heapBase();
-    const sim::MramAddr span_base =
-        heap_base + (addr - heap_base) / cfg_.spanBytes * cfg_.spanBytes;
-    live_[addr] = LiveBlock{size, false, static_cast<uint8_t>(cls), t.id(),
-                            span_base};
+    live_.insert(addr, LiveBlock{size, static_cast<uint8_t>(cls),
+                                 owner, false});
     stats_.adjustRequested(static_cast<int64_t>(size));
     stats_.recordMalloc(level, start, t.clock() - start, size, t.id());
     return addr;
@@ -181,10 +178,10 @@ PimMallocAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
 {
     PIM_ASSERT(initialized_, "pimFree before initAllocator");
     t.execute(cost::kApiOverheadInstrs);
-    auto it = live_.find(addr);
-    if (it == live_.end())
+    const LiveBlock *found = live_.find(addr);
+    if (found == nullptr)
         return false;
-    const LiveBlock block = it->second;
+    const LiveBlock block = *found;
 
     if (block.bypass) {
         const uint32_t freed = backendFree(t, addr);
@@ -193,7 +190,10 @@ PimMallocAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
         stats_.adjustReserved(-static_cast<int64_t>(freed));
     } else {
         ThreadCache &cache = *caches_.at(block.taskletId);
-        const auto res = cache.free(t, block.cls, block.spanBase, addr);
+        const sim::MramAddr heap_base = tree_->heapBase();
+        const sim::MramAddr span_base =
+            heap_base + (addr - heap_base) / cfg_.spanBytes * cfg_.spanBytes;
+        const auto res = cache.free(t, block.cls, span_base, addr);
         if (!res.ok)
             return false;
         if (res.spanReleased) {
@@ -205,7 +205,7 @@ PimMallocAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
     }
     stats_.adjustRequested(-static_cast<int64_t>(block.requested));
     ++stats_.freeCalls;
-    live_.erase(it);
+    live_.erase(addr);
     return true;
 }
 

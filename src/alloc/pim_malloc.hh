@@ -19,7 +19,6 @@
 #define PIM_ALLOC_PIM_MALLOC_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.hh"
@@ -28,6 +27,7 @@
 #include "alloc/thread_cache.hh"
 #include "sim/dpu.hh"
 #include "sim/mutex.hh"
+#include "util/addr_table.hh"
 
 namespace pim::alloc {
 
@@ -93,14 +93,14 @@ class PimMallocAllocator : public Allocator
     uint64_t threadCacheMetadataBytes() const;
 
   private:
-    /** Bookkeeping for one live user block. */
+    /** Bookkeeping for one live user block (8 bytes: the table holds
+     *  one per live block). */
     struct LiveBlock
     {
-        uint32_t requested;      ///< user-visible size
-        bool bypass;             ///< true if serviced by the backend
-        uint8_t cls;             ///< size class (frontend blocks)
-        unsigned taskletId;      ///< owning thread cache
-        sim::MramAddr spanBase;  ///< span containing the block
+        uint32_t requested; ///< user-visible size
+        uint8_t cls;        ///< size class (frontend blocks)
+        uint8_t taskletId;  ///< owning thread cache
+        bool bypass;        ///< true if serviced by the backend
     };
 
     /** Lock, allocate from the buddy, unlock. */
@@ -117,7 +117,7 @@ class PimMallocAllocator : public Allocator
     std::vector<std::unique_ptr<ThreadCache>> caches_;
     sim::SimMutex mutex_;
     AllocStats stats_;
-    std::unordered_map<sim::MramAddr, LiveBlock> live_;
+    util::AddrTable<LiveBlock> live_;
     bool initialized_ = false;
 };
 

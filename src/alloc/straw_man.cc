@@ -63,7 +63,7 @@ StrawManAllocator::malloc(sim::Tasklet &t, uint32_t size)
         ++stats_.failures;
         return sim::kNullAddr;
     }
-    liveRequests_[addr] = size;
+    liveRequests_.insert(addr, size);
     stats_.adjustReserved(static_cast<int64_t>(tree_->roundSize(size)));
     stats_.adjustRequested(static_cast<int64_t>(size));
     stats_.recordMalloc(ServiceLevel::Backend, start, t.clock() - start,
@@ -81,12 +81,12 @@ StrawManAllocator::free(sim::Tasklet &t, sim::MramAddr addr)
     if (freed == 0)
         return false;
     ++stats_.freeCalls;
-    auto it = liveRequests_.find(addr);
-    PIM_ASSERT(it != liveRequests_.end(),
+    const uint32_t *requested = liveRequests_.find(addr);
+    PIM_ASSERT(requested != nullptr,
                "tree freed a block the allocator never handed out");
     stats_.adjustReserved(-static_cast<int64_t>(freed));
-    stats_.adjustRequested(-static_cast<int64_t>(it->second));
-    liveRequests_.erase(it);
+    stats_.adjustRequested(-static_cast<int64_t>(*requested));
+    liveRequests_.erase(addr);
     return true;
 }
 

@@ -13,13 +13,13 @@
 #define PIM_ALLOC_STRAW_MAN_HH
 
 #include <memory>
-#include <unordered_map>
 
 #include "alloc/allocator.hh"
 #include "alloc/buddy_tree.hh"
 #include "alloc/metadata_store.hh"
 #include "sim/dpu.hh"
 #include "sim/mutex.hh"
+#include "util/addr_table.hh"
 
 namespace pim::alloc {
 
@@ -81,7 +81,7 @@ class StrawManAllocator : public Allocator
     sim::SimMutex mutex_;
     AllocStats stats_;
     /** Host-side bookkeeping: user-requested size per live block. */
-    std::unordered_map<sim::MramAddr, uint32_t> liveRequests_;
+    util::AddrTable<uint32_t> liveRequests_;
 };
 
 /** Build the metadata store selected by @p mode (shared with PimMalloc). */

@@ -67,7 +67,7 @@ ThreadCache::tryAlloc(sim::Tasklet &t, unsigned cls)
         if (span.freeCount == 0) {
             ++rotations;
             list.splice(list.end(), list, list.begin());
-            index_[span.base].second = std::prev(list.end());
+            index_.find(span.base)->it = std::prev(list.end());
             continue;
         }
         // Scan the bitmap one 64-bit word at a time for a set bit.
@@ -87,7 +87,7 @@ ThreadCache::tryAlloc(sim::Tasklet &t, unsigned cls)
             if (span.freeCount == 0 && list.size() > 1) {
                 // Rotate the now-full span behind the others.
                 list.splice(list.end(), list, list.begin());
-                index_[span.base].second = std::prev(list.end());
+                index_.find(span.base)->it = std::prev(list.end());
             }
             return addr;
         }
@@ -100,13 +100,13 @@ bool
 ThreadCache::installSpan(sim::Tasklet &t, unsigned cls, sim::MramAddr base)
 {
     PIM_ASSERT(cls < lists_.size(), "size class out of range");
-    PIM_ASSERT(!index_.count(base), "span already installed");
+    PIM_ASSERT(index_.find(base) == nullptr, "span already installed");
     if (totalSpans() >= cfg_.maxSpans)
         return false;
     t.execute(cost::kSpanInstallInstrs);
     auto &list = lists_[cls];
     list.push_front(makeSpan(cls, base));
-    index_[base] = {cls, list.begin()};
+    index_.insert(base, SpanRef{cls, list.begin()});
     peakSpans_ = std::max<uint32_t>(peakSpans_,
                                     static_cast<uint32_t>(totalSpans()));
     return true;
@@ -118,11 +118,11 @@ ThreadCache::free(sim::Tasklet &t, unsigned cls, sim::MramAddr span_base,
 {
     PIM_ASSERT(cls < lists_.size(), "size class out of range");
     t.execute(cost::kThreadCacheFreeInstrs);
-    const auto idx_it = index_.find(span_base);
-    if (idx_it == index_.end() || idx_it->second.first != cls)
+    SpanRef *ref = index_.find(span_base);
+    if (ref == nullptr || ref->cls != cls)
         return FreeResult{};
     auto &list = lists_[cls];
-    const auto span_it = idx_it->second.second;
+    const auto span_it = ref->it;
     Span &span = *span_it;
 
     const uint32_t offset = addr - span.base;
@@ -146,13 +146,13 @@ ThreadCache::free(sim::Tasklet &t, unsigned cls, sim::MramAddr span_base,
         // keep the last span of a class resident to absorb bursts.
         res.spanReleased = true;
         res.spanBase = span.base;
-        index_.erase(idx_it);
+        index_.erase(span_base);
         list.erase(span_it);
     } else if (was_full) {
         // The span has free blocks again: bring it to the front so the
         // allocation fast path finds it.
         list.splice(list.begin(), list, span_it);
-        idx_it->second.second = list.begin();
+        ref->it = list.begin();
     }
     return res;
 }

@@ -25,11 +25,11 @@
 #include <array>
 #include <cstdint>
 #include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/tasklet.hh"
 #include "sim/types.hh"
+#include "util/addr_table.hh"
 
 namespace pim::alloc {
 
@@ -129,9 +129,15 @@ class ThreadCache
     unsigned owner_;
     ThreadCacheConfig cfg_;
     std::vector<SpanList> lists_;
-    /** O(1) span lookup by base address: (class, list position). */
-    std::unordered_map<sim::MramAddr, std::pair<unsigned, SpanList::iterator>>
-        index_;
+    /** Where a held span lives: its class and list position. */
+    struct SpanRef
+    {
+        unsigned cls = 0;
+        SpanList::iterator it{};
+    };
+
+    /** O(1) span lookup by base address. */
+    util::AddrTable<SpanRef> index_;
     uint32_t peakSpans_ = 0;
 };
 

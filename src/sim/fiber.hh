@@ -73,13 +73,19 @@ namespace pim::sim {
 class Fiber
 {
   public:
+    /** Default private stack size: enough for the deepest buddy-tree
+     *  recursion plus workloads. */
+    static constexpr size_t kDefaultStackBytes = 256 * 1024;
+
     /**
      * @param body   function executed on the fiber's own stack.
-     * @param stack_bytes size of the private stack (default 256 KiB,
-     *        enough for the deepest buddy-tree recursion plus workloads).
+     * @param stack_bytes size of the private stack.
      */
     explicit Fiber(std::function<void()> body,
-                   size_t stack_bytes = 256 * 1024);
+                   size_t stack_bytes = kDefaultStackBytes);
+
+    /** Hands a default-size stack back to this host thread's pool. */
+    ~Fiber();
 
     Fiber(const Fiber &) = delete;
     Fiber &operator=(const Fiber &) = delete;
@@ -115,8 +121,14 @@ class Fiber
     void run();
 
     std::function<void()> body_;
-    /** Uninitialized private stack (zeroing 256 KiB per fiber would
-     *  dominate short launches). */
+    /**
+     * Uninitialized private stack (zeroing 256 KiB per fiber would
+     * dominate short launches). Default-size stacks are recycled: a
+     * destroyed fiber leaves its stack on a small per-host-thread free
+     * list and the next fiber built on that thread takes it, so a
+     * launch costs no stack allocation once the thread has run one of
+     * the same width.
+     */
     std::unique_ptr<uint8_t[]> stack_;
     size_t stackBytes_;
     bool started_ = false;

@@ -55,6 +55,30 @@ class FlatMemory
         std::memcpy(data_.get() + addr, &value, sizeof(T));
     }
 
+    /**
+     * read() without the bounds check, for hot paths whose whole range
+     * was validated once up front (the buddy metadata array is checked
+     * against the bank size when its store is built).
+     */
+    template <typename T>
+    T
+    readUnchecked(MramAddr addr) const
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        T value;
+        std::memcpy(&value, data_.get() + addr, sizeof(T));
+        return value;
+    }
+
+    /** write() without the bounds check; see readUnchecked(). */
+    template <typename T>
+    void
+    writeUnchecked(MramAddr addr, const T &value)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        std::memcpy(data_.get() + addr, &value, sizeof(T));
+    }
+
     /** Bulk copy out of the memory. */
     void readBytes(MramAddr addr, void *dst, size_t n) const;
 
@@ -64,7 +88,15 @@ class FlatMemory
     /** memmove within the memory (used by the CSR shift model). */
     void moveBytes(MramAddr dst, MramAddr src, size_t n);
 
-    /** Zero-fill a range. */
+    /**
+     * Set @p n bytes at @p addr to @p value. A zero fill hands the
+     * whole pages inside the range back to the OS (madvise
+     * MADV_DONTNEED on Linux) instead of writing them, and memsets only
+     * the partial pages at its ends; the returned pages read as zero
+     * and cost no memory until written again. Zeroing a large,
+     * never-written range (e.g. a freshly reset buddy metadata array)
+     * therefore faults in nothing.
+     */
     void fill(MramAddr addr, size_t n, uint8_t value);
 
     /**

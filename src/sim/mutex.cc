@@ -156,13 +156,26 @@ SimMutex::unlock(Tasklet &t)
         uint64_t winner_key = UINT64_MAX;
         for (size_t i = 0; i < waiters_.size(); ++i) {
             Waiter &w = waiters_[i];
+            // One waiter's re-check keys only grow: walk the finish
+            // history once for all of them.
+            size_t finished = 0;
             while (w.nextCheckKey < release_key) {
                 const uint64_t width =
-                    sched.pipelineWidthAt(w.nextCheckKey);
-                w.nextCheckKey +=
+                    sched.pipelineWidthAt(w.nextCheckKey, finished);
+                const uint64_t step =
                     (batchInstrs(w.batchIdx) * width) << Tasklet::kIdBits;
-                ++w.batchIdx;
-                ++elided_;
+                // At the backoff cap, every re-check up to the release
+                // (and up to the next finish, which may change the
+                // width) adds the same step: take them all at once.
+                uint64_t checks = 1;
+                if (w.batchIdx >= kCappedBatch) {
+                    const uint64_t last = std::min(
+                        release_key - 1, sched.widthHoldsThrough(finished));
+                    checks = (last - w.nextCheckKey) / step + 1;
+                }
+                w.nextCheckKey += checks * step;
+                w.batchIdx += static_cast<uint32_t>(checks);
+                elided_ += checks;
             }
             if (w.nextCheckKey < winner_key) {
                 winner_key = w.nextCheckKey;

@@ -161,11 +161,14 @@ class SimMutex
         uint32_t batchIdx;
     };
 
+    /** First backoff batch index at the kMaxSpinInstrs cap. */
+    static constexpr uint32_t kCappedBatch = 6;
+
     /** Backoff batch @p idx in instructions: 4, 8, ..., capped at 256. */
     static uint64_t
     batchInstrs(uint32_t idx)
     {
-        return idx >= 6 ? kMaxSpinInstrs : (kAttemptInstrs << idx);
+        return idx >= kCappedBatch ? kMaxSpinInstrs : (kAttemptInstrs << idx);
     }
 
     void lockSpin(Tasklet &t);

@@ -8,7 +8,8 @@
 namespace pim::sim {
 
 TaskletScheduler::TaskletScheduler(Dpu &dpu, Policy policy)
-    : dpu_(dpu), policy_(policy)
+    : dpu_(dpu), policy_(policy),
+      issueInterval_(dpu.config().pipelineIssueInterval)
 {
 }
 
@@ -32,7 +33,13 @@ TaskletScheduler::spawn(std::function<void(Tasklet &)> body)
             // launch's tasklets) must never try to yield.
             t->horizonKey_ = UINT64_MAX;
             // The finish history lets mutex wakers replay the pipeline
-            // width at any past virtual instant (pipelineWidthAt).
+            // width at any past virtual instant (pipelineWidthAt), whose
+            // cursor relies on finishes arriving in key order.
+            PIM_ASSERT(finishKeys_.empty()
+                           || t->clockKey_ >= finishKeys_.back(),
+                       "tasklet ", t->id_, " finished at key ",
+                       t->clockKey_, " before the previous finish at ",
+                       finishKeys_.back());
             finishKeys_.push_back(t->clockKey_);
         }));
     taskletRaw_.push_back(t);
@@ -56,19 +63,6 @@ TaskletScheduler::runToCompletion()
                " tasklet(s) still parked at the end of the launch — "
                "deadlock (a lock was never released?)");
     running_ = false;
-}
-
-uint64_t
-TaskletScheduler::pipelineWidthAt(uint64_t key) const
-{
-    // Small linear scan: at most one entry per tasklet (<= 24), and
-    // wakers only call this on the contended path.
-    unsigned finished = 0;
-    for (const uint64_t fk : finishKeys_)
-        finished += fk < key ? 1u : 0u;
-    const uint64_t unfinished = tasklets_.size() - finished;
-    const uint64_t interval = dpu_.config().pipelineIssueInterval;
-    return unfinished > interval ? unfinished : interval;
 }
 
 void

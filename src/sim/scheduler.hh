@@ -114,7 +114,42 @@ class TaskletScheduler
      * keys at or before the running tasklet's position (later finishes
      * are not known yet).
      */
-    uint64_t pipelineWidthAt(uint64_t key) const;
+    uint64_t
+    pipelineWidthAt(uint64_t key) const
+    {
+        size_t cursor = 0;
+        return pipelineWidthAt(key, cursor);
+    }
+
+    /**
+     * pipelineWidthAt() for a nondecreasing sequence of keys, such as
+     * one mutex waiter's replayed re-checks. @p cursor starts at 0 and
+     * carries the number of finishes before the previous key, so the
+     * whole sequence walks the (nondecreasing) finish history once.
+     * Every mutex park and replayed re-check asks this, so the case
+     * where no tasklet has finished yet is one compare.
+     */
+    uint64_t
+    pipelineWidthAt(uint64_t key, size_t &cursor) const
+    {
+        const size_t finished = finishKeys_.size();
+        while (cursor < finished && finishKeys_[cursor] < key)
+            ++cursor;
+        const uint64_t unfinished = taskletRaw_.size() - cursor;
+        return unfinished > issueInterval_ ? unfinished : issueInterval_;
+    }
+
+    /**
+     * The last key at which the width from the latest
+     * pipelineWidthAt(key, @p cursor) still holds: the next finish's
+     * key (a finish counts only for later keys), or UINT64_MAX.
+     */
+    uint64_t
+    widthHoldsThrough(size_t cursor) const
+    {
+        return cursor < finishKeys_.size() ? finishKeys_[cursor]
+                                           : UINT64_MAX;
+    }
 
   private:
     friend class Tasklet;
@@ -159,10 +194,15 @@ class TaskletScheduler
     std::vector<uint64_t> heap_;
     /**
      * Election keys at which tasklets of this launch finished, in
-     * finish order. Drives pipelineWidthAt(): the unfinished count at
-     * key K is numTasklets() minus the finishes strictly before K.
+     * finish order, which is also key order: a tasklet finishes at a
+     * key no later than any runnable tasklet's, and wakes only move
+     * keys forward (asserted in the finish hook). Drives
+     * pipelineWidthAt(): the unfinished count at key K is numTasklets()
+     * minus the finishes strictly before K.
      */
     std::vector<uint64_t> finishKeys_;
+    /** Cached DpuConfig::pipelineIssueInterval. */
+    uint64_t issueInterval_;
     unsigned active_ = 0;
     bool running_ = false;
 };

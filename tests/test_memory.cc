@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/dpu.hh"
 #include "sim/memory.hh"
 
@@ -55,6 +57,50 @@ TEST(FlatMemory, Fill)
     EXPECT_EQ(m.read<uint8_t>(8), 0xabu);
     EXPECT_EQ(m.read<uint8_t>(23), 0xabu);
     EXPECT_EQ(m.read<uint8_t>(24), 0u);
+}
+
+TEST(FlatMemory, ZeroFillSpanningPagesKeepsBytesOutside)
+{
+    FlatMemory m(64u << 20, "MRAM");
+    // Non-zero bytes across six pages, starting and ending mid-page.
+    constexpr MramAddr kBegin = 3 * 4096 + 100;
+    constexpr size_t kBytes = 6 * 4096;
+    const std::vector<uint8_t> pattern(kBytes, 0x5a);
+    m.writeBytes(kBegin, pattern.data(), kBytes);
+
+    // Zero an inner range with unaligned ends that covers whole pages.
+    constexpr MramAddr kZeroBegin = kBegin + 1000;
+    constexpr size_t kZeroBytes = 4 * 4096 + 1234;
+    m.fill(kZeroBegin, kZeroBytes, 0);
+    for (size_t i = 0; i < kZeroBytes; ++i)
+        ASSERT_EQ(m.raw()[kZeroBegin + i], 0u) << "offset " << i;
+    EXPECT_EQ(m.read<uint8_t>(kZeroBegin - 1), 0x5au);
+    EXPECT_EQ(m.read<uint8_t>(kBegin), 0x5au);
+    EXPECT_EQ(m.read<uint8_t>(kZeroBegin + kZeroBytes), 0x5au);
+    EXPECT_EQ(m.read<uint8_t>(kBegin + kBytes - 1), 0x5au);
+    EXPECT_EQ(m.read<uint8_t>(kBegin + kBytes), 0u);
+
+    // Zeroed pages take writes again.
+    m.write<uint32_t>(kZeroBegin + 4096, 0xfeedf00d);
+    EXPECT_EQ(m.read<uint32_t>(kZeroBegin + 4096), 0xfeedf00du);
+}
+
+TEST(FlatMemory, ResetZeroesEveryByte)
+{
+    FlatMemory m(64u << 20, "MRAM");
+    const std::vector<uint8_t> pattern(3 * 4096 + 17, 0xc3);
+    m.writeBytes(0, pattern.data(), pattern.size());
+    m.writeBytes((32u << 20) + 5, pattern.data(), pattern.size());
+    m.write<uint64_t>((64u << 20) - 8, ~0ull);
+    m.reset();
+    EXPECT_EQ(m.size(), 64u << 20);
+    const uint8_t *p = m.raw();
+    size_t nonzero = 0;
+    for (size_t i = 0; i < m.size(); ++i)
+        nonzero += p[i] != 0;
+    EXPECT_EQ(nonzero, 0u);
+    m.write<uint32_t>(4096, 7);
+    EXPECT_EQ(m.read<uint32_t>(4096), 7u);
 }
 
 TEST(FlatMemoryDeath, OutOfRangePanics)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "alloc/pim_malloc.hh"
 #include "sim/dpu.hh"
@@ -231,6 +232,63 @@ TEST(PimMalloc, FreeOfUnknownPointerRejected)
         EXPECT_TRUE(a.free(t, p));
         EXPECT_FALSE(a.free(t, p));
     });
+}
+
+TEST(PimMalloc, BadFreesRejectedAfterChurn)
+{
+    for (const auto mode : {MetadataMode::SwBuffer, MetadataMode::HwCache}) {
+        sim::Dpu dpu;
+        PimMallocAllocator a(dpu, testConfig(mode, true, 1));
+        dpu.run(1, [&](sim::Tasklet &t) {
+            a.init(t);
+            util::Rng rng(4243);
+            std::vector<sim::MramAddr> live;
+            for (int op = 0; op < 10000; ++op) {
+                if (live.empty() || rng.bernoulli(0.5)) {
+                    const auto p = a.malloc(
+                        t, static_cast<uint32_t>(rng.uniformRange(1, 3000)));
+                    if (p != sim::kNullAddr)
+                        live.push_back(p);
+                } else {
+                    const size_t i = rng.uniformInt(live.size());
+                    ASSERT_TRUE(a.free(t, live[i]));
+                    live[i] = live.back();
+                    live.pop_back();
+                }
+            }
+            ASSERT_GT(live.size(), 10u);
+
+            // Double free of a block released after the churn.
+            const sim::MramAddr freed = live.back();
+            live.pop_back();
+            ASSERT_TRUE(a.free(t, freed));
+            EXPECT_FALSE(a.free(t, freed));
+
+            // Never-returned addresses inside the live span of a fresh
+            // 64 B block: mid-block, and the next (free) sub-block.
+            const sim::MramAddr p = a.malloc(t, 64);
+            ASSERT_NE(p, sim::kNullAddr);
+            live.push_back(p);
+            EXPECT_FALSE(a.free(t, p + 8));
+            const std::set<sim::MramAddr> is_live(live.begin(), live.end());
+            const uint32_t span = a.config().spanBytes;
+            const sim::MramAddr heap = a.backend().heapBase();
+            const sim::MramAddr span_base = heap + (p - heap) / span * span;
+            sim::MramAddr idle = sim::kNullAddr;
+            for (sim::MramAddr q = span_base; q < span_base + span; q += 64)
+                if (!is_live.count(q))
+                    idle = q;
+            ASSERT_NE(idle, sim::kNullAddr);
+            EXPECT_FALSE(a.free(t, idle));
+
+            // The rejected frees disturbed nothing: every live block
+            // still frees.
+            for (const auto q : live)
+                ASSERT_TRUE(a.free(t, q));
+        });
+        EXPECT_EQ(a.stats().requestedBytes, 0u);
+        EXPECT_EQ(a.stats().failures, 0u);
+    }
 }
 
 TEST(PimMalloc, OutOfMemoryFailsGracefully)

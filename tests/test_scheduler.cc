@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/dpu.hh"
+#include "sim/mutex.hh"
 #include "sim/scheduler.hh"
 
 using namespace pim::sim;
@@ -181,6 +183,122 @@ TEST(Scheduler, HorizonRunAheadSkipsSwitchesNotEvents)
     };
     EXPECT_EQ(run(TaskletScheduler::Policy::Horizon),
               run(TaskletScheduler::Policy::NaiveReference));
+}
+
+namespace {
+
+/**
+ * Check pipelineWidthAt() of a finished launch before the first finish,
+ * at and just after every finish, and after the last one, through both
+ * the one-shot query and one cursor walked over the same nondecreasing
+ * keys.
+ */
+void
+expectWidthsFollowFinishes(const TaskletScheduler &sched, uint64_t interval)
+{
+    std::vector<uint64_t> finishes;
+    for (size_t i = 0; i < sched.numTasklets(); ++i)
+        finishes.push_back((sched.tasklet(i).clock() << Tasklet::kIdBits)
+                           | sched.tasklet(i).id());
+    std::sort(finishes.begin(), finishes.end());
+    const uint64_t n = finishes.size();
+    // A finish at key K counts only for keys after K.
+    auto width = [&](uint64_t finished) {
+        return std::max<uint64_t>(interval, n - finished);
+    };
+    size_t cursor = 0;
+    EXPECT_EQ(sched.pipelineWidthAt(0), width(0));
+    EXPECT_EQ(sched.pipelineWidthAt(0, cursor), width(0));
+    for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(sched.pipelineWidthAt(finishes[j]), width(j));
+        EXPECT_EQ(sched.pipelineWidthAt(finishes[j], cursor), width(j));
+        EXPECT_EQ(sched.pipelineWidthAt(finishes[j] + 1), width(j + 1));
+        EXPECT_EQ(sched.pipelineWidthAt(finishes[j] + 1, cursor),
+                  width(j + 1));
+    }
+    EXPECT_EQ(sched.pipelineWidthAt(UINT64_MAX), width(n));
+    EXPECT_EQ(sched.pipelineWidthAt(UINT64_MAX, cursor), width(n));
+}
+
+} // namespace
+
+TEST(Scheduler, PipelineWidthReplaysFinishHistory)
+{
+    for (const auto policy : {TaskletScheduler::Policy::Horizon,
+                              TaskletScheduler::Policy::NaiveReference}) {
+        SCOPED_TRACE(policy == TaskletScheduler::Policy::Horizon
+                         ? "horizon" : "naive");
+        Dpu dpu;
+        const uint64_t interval = dpu.config().pipelineIssueInterval;
+        TaskletScheduler sched(dpu, policy);
+        uint64_t width_at_start = 0;
+        uint64_t width_at_end = 0;
+        for (int k = 0; k < 16; ++k)
+            sched.spawn([&](Tasklet &t) {
+                if (t.id() == 15) {
+                    width_at_start = t.scheduler().pipelineWidthAt(
+                        (t.clock() << Tasklet::kIdBits) | t.id());
+                }
+                // Tasklet i runs i + 1 blocks, so they finish one by
+                // one in id order.
+                for (unsigned i = 0; i <= t.id(); ++i)
+                    t.execute(10);
+                if (t.id() == 15) {
+                    width_at_end = t.scheduler().pipelineWidthAt(
+                        (t.clock() << Tasklet::kIdBits) | t.id());
+                }
+            });
+        sched.runToCompletion();
+        EXPECT_EQ(width_at_start, 16u);
+        // Alone at the end: the other 15 finished at earlier keys.
+        EXPECT_EQ(width_at_end, interval);
+        expectWidthsFollowFinishes(sched, interval);
+    }
+}
+
+TEST(Scheduler, PipelineWidthReplayInParkedMutexLaunch)
+{
+    // Tasklet 0 holds the lock for a long time; tasklets 1-7 park on it
+    // and reach the backoff cap, and tasklets 8-15 finish one by one
+    // meanwhile, so the replay at the release walks waiters' re-checks
+    // across eight finishes (width 16 down to 11). Queue (parked) and
+    // Spin runs must agree, and the finish history must replay the
+    // width.
+    auto run = [](TaskletScheduler::Policy policy, SimMutex::Mode mode) {
+        Dpu dpu;
+        SimMutex m(mode);
+        TaskletScheduler sched(dpu, policy);
+        for (int k = 0; k < 16; ++k)
+            sched.spawn([&](Tasklet &t) {
+                if (t.id() >= 8) {
+                    t.execute(500 * (t.id() - 7));
+                    return;
+                }
+                t.execute(10 * t.id());
+                m.lock(t);
+                t.execute(t.id() == 0 ? 20000 : 100);
+                m.unlock(t);
+            });
+        sched.runToCompletion();
+        expectWidthsFollowFinishes(sched,
+                                   dpu.config().pipelineIssueInterval);
+        if (mode == SimMutex::Mode::Queue) {
+            EXPECT_GE(m.parkedCount(), 7u);
+            EXPECT_GT(m.elidedSpinEvents(), 7u * 20);
+        }
+        std::vector<uint64_t> out;
+        for (size_t i = 0; i < sched.numTasklets(); ++i) {
+            out.push_back(sched.tasklet(i).clock());
+            out.push_back(sched.tasklet(i).breakdown().of(
+                CycleKind::BusyWait));
+        }
+        return out;
+    };
+    for (const auto policy : {TaskletScheduler::Policy::Horizon,
+                              TaskletScheduler::Policy::NaiveReference}) {
+        EXPECT_EQ(run(policy, SimMutex::Mode::Queue),
+                  run(policy, SimMutex::Mode::Spin));
+    }
 }
 
 TEST(SchedulerDeath, TooManyTaskletsPanics)

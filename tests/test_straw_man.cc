@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "alloc/straw_man.hh"
 #include "sim/dpu.hh"
+#include "util/rng.hh"
 
 using namespace pim;
 using namespace pim::alloc;
@@ -197,4 +199,48 @@ TEST(StrawMan, InitResetsState)
         // The whole heap is allocatable again after re-init.
         EXPECT_NE(a.malloc(t, 1u << 20), sim::kNullAddr);
     });
+}
+
+TEST(StrawMan, BadFreesRejectedAfterChurn)
+{
+    sim::Dpu dpu;
+    StrawManAllocator a(dpu, smallConfig());
+    dpu.run(1, [&](sim::Tasklet &t) {
+        a.init(t);
+        util::Rng rng(4242);
+        std::vector<sim::MramAddr> live;
+        for (int op = 0; op < 10000; ++op) {
+            if (live.empty() || rng.bernoulli(0.5)) {
+                const auto p = a.malloc(
+                    t, static_cast<uint32_t>(rng.uniformRange(1, 2048)));
+                if (p != sim::kNullAddr)
+                    live.push_back(p);
+            } else {
+                const size_t i = rng.uniformInt(live.size());
+                ASSERT_TRUE(a.free(t, live[i]));
+                live[i] = live.back();
+                live.pop_back();
+            }
+        }
+        ASSERT_GT(live.size(), 10u);
+
+        // Double free of a block released after the churn.
+        const sim::MramAddr freed = live.back();
+        live.pop_back();
+        ASSERT_TRUE(a.free(t, freed));
+        EXPECT_FALSE(a.free(t, freed));
+
+        // A never-returned address inside a live block (>= 64 B rounded).
+        const sim::MramAddr big = a.malloc(t, 200);
+        ASSERT_NE(big, sim::kNullAddr);
+        live.push_back(big);
+        EXPECT_FALSE(a.free(t, big + 32));
+        EXPECT_FALSE(a.free(t, big + 64));
+
+        // The rejected frees disturbed nothing: every live block frees.
+        for (const auto p : live)
+            ASSERT_TRUE(a.free(t, p));
+    });
+    EXPECT_EQ(a.stats().requestedBytes, 0u);
+    EXPECT_EQ(a.tree().allocatedBytes(), 0u);
 }
