@@ -114,9 +114,12 @@ PimMallocAllocator::malloc(sim::Tasklet &t, uint32_t size)
     const uint64_t start = t.clock();
     t.execute(cost::kApiOverheadInstrs + cost::kSizeClassLookupInstrs);
 
-    ThreadCache &cache = *caches_.at(t.id() % caches_.size());
+    // Tasklets beyond the configured count share caches round-robin;
+    // the block records the cache it came from, which free() returns
+    // it to.
+    const auto owner = static_cast<uint8_t>(t.id() % caches_.size());
+    ThreadCache &cache = *caches_[owner];
     const int cls = cache.classFor(size);
-    const auto owner = static_cast<uint8_t>(t.id());
 
     if (cls < 0) {
         // Case #3 (Fig 10(c)): thread cache bypass.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "fault/injector.hh"
@@ -20,6 +21,15 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/** Counter names, indexed by CommandQueue::Ctr; a named tenant's
+ *  counter appends ":<name>". */
+constexpr const char *kCounterNames[] = {
+    "queue.commands_issued", "queue.commands_resolved",
+    "queue.commands_failed", "queue.poisoned_deps",
+    "queue.bus_bytes",       "queue.transfer_retries",
+    "queue.sim_events",
+};
 
 } // namespace
 
@@ -43,6 +53,7 @@ CommandQueue::attachRecorder(trace::Recorder *rec)
 {
     drain();
     rec_ = rec;
+    observed_ = rec_ != nullptr || met_ != nullptr;
     traceEpoch_ = 0.0;
     if (rec_ != nullptr)
         rec_->setRankCount(sys_.numRanks());
@@ -53,22 +64,19 @@ CommandQueue::attachMetrics(telemetry::Registry *met)
 {
     drain();
     met_ = met;
-    qm_ = QueueCounters{};
-    tenantMet_.clear();
+    observed_ = rec_ != nullptr || met_ != nullptr;
+    tenantCounters_.clear();
+    hostSid_.clear();
+    tenantRanksBusySid_.clear();
     rankSid_.clear();
-    busSid_ = depthSid_ = ranksBusySid_ = -1;
     if (met_ == nullptr)
         return;
-    qm_.issued = &met_->counter("queue.commands_issued");
-    qm_.resolved = &met_->counter("queue.commands_resolved");
-    qm_.failed = &met_->counter("queue.commands_failed");
-    qm_.poisoned = &met_->counter("queue.poisoned_deps");
-    qm_.busBytes = &met_->counter("queue.bus_bytes");
-    qm_.retries = &met_->counter("queue.transfer_retries");
-    qm_.simEvents = &met_->counter("queue.sim_events");
-    qm_.drainPhase1 = &met_->hostGauge("queue.drain.phase1_sec");
-    qm_.drainPhase2 = &met_->hostGauge("queue.drain.phase2_sec");
-    qm_.drainCps = &met_->hostGauge("queue.drain.commands_per_sec");
+    static_assert(std::size(kCounterNames) == kNumCtrs);
+    for (unsigned c = 0; c < kNumCtrs; ++c)
+        total_[c] = &met_->counter(kCounterNames[c]);
+    drainPhase1_ = &met_->hostGauge("queue.drain.phase1_sec");
+    drainPhase2_ = &met_->hostGauge("queue.drain.phase2_sec");
+    drainCps_ = &met_->hostGauge("queue.drain.commands_per_sec");
     telemetry::TimelineSampler &smp = met_->sampler();
     busSid_ = smp.series("util:bus");
     depthSid_ = smp.levelSeries("depth:queue");
@@ -83,31 +91,25 @@ void
 CommandQueue::ensureTenantMetrics()
 {
     telemetry::TimelineSampler &smp = met_->sampler();
-    while (tenantMet_.size() < hostT_.size()) {
-        const TenantId t = static_cast<TenantId>(tenantMet_.size());
+    while (hostSid_.size() < hostT_.size()) {
+        const TenantId t = static_cast<TenantId>(hostSid_.size());
         const std::string &name = tenantNames_[t];
-        TenantMetrics tm;
-        tm.hostSid = smp.series(t == kDefaultTenant
-                                    ? "util:host"
-                                    : "util:host:" + name);
+        hostSid_.push_back(smp.series(t == kDefaultTenant
+                                          ? "util:host"
+                                          : "util:host:" + name));
         // Tenant 0 has no display name; "default" keeps its busy-rank
         // curve a first-class per-tenant track in single-tenant runs.
-        tm.ranksBusySid = smp.series(
-            "ranks_busy:" + (name.empty() ? "default" : name));
+        tenantRanksBusySid_.push_back(smp.series(
+            "ranks_busy:" + (name.empty() ? "default" : name)));
+        // Tenant 0 owns only the totals; simulation events are counted
+        // queue-wide only.
+        CounterSet ctr{};
         if (t != kDefaultTenant) {
-            tm.issued =
-                &met_->counter("queue.commands_issued:" + name);
-            tm.resolved =
-                &met_->counter("queue.commands_resolved:" + name);
-            tm.failed =
-                &met_->counter("queue.commands_failed:" + name);
-            tm.poisoned =
-                &met_->counter("queue.poisoned_deps:" + name);
-            tm.busBytes = &met_->counter("queue.bus_bytes:" + name);
-            tm.retries =
-                &met_->counter("queue.transfer_retries:" + name);
+            for (unsigned c = 0; c < kSimEvents; ++c)
+                ctr[c] = &met_->counter(
+                    std::string(kCounterNames[c]) + ":" + name);
         }
-        tenantMet_.push_back(tm);
+        tenantCounters_.push_back(ctr);
     }
 }
 
@@ -120,20 +122,107 @@ CommandQueue::attachFaultInjector(fault::FaultInjector *inj)
 }
 
 void
-CommandQueue::traceRankDeath(unsigned r, double failAtSec)
+CommandQueue::traceRankDeath(unsigned r, double failAtSec,
+                             const Command &cmd)
 {
     // One zero-width marker per rank at the death time, so the trace
     // shows *why* the lane goes quiet.
     if (rankDeathTraced_[r])
         return;
     rankDeathTraced_[r] = true;
+    emit(trace::rankLane(r), failAtSec, failAtSec, Obs::Marker, cmd,
+         kNoEvent);
+}
+
+void
+CommandQueue::emitObserved(int lane, double t0, double t1, Obs kind,
+                           const Command &cmd, Event id, bool fault,
+                           uint64_t cycles)
+{
+    // Spans and sampler bins both use epoch-absolute times, so they
+    // stay monotonic across resetTimeline.
+    t0 += traceEpoch_;
+    t1 += traceEpoch_;
+    if (met_ != nullptr && kind == Obs::Busy) {
+        telemetry::TimelineSampler &smp = met_->sampler();
+        if (lane == trace::kHostLane) {
+            smp.accumulate(hostSid_[cmd.tenant], t0, t1);
+        } else if (lane == trace::kBusLane) {
+            smp.accumulate(busSid_, t0, t1);
+        } else {
+            smp.accumulate(rankSid_[trace::rankOfLane(lane)], t0, t1);
+            smp.accumulate(ranksBusySid_, t0, t1);
+            smp.accumulate(tenantRanksBusySid_[cmd.tenant], t0, t1);
+        }
+    }
     if (rec_ == nullptr)
         return;
     trace::Span s;
-    s.lane = trace::rankLane(r);
-    s.name = "fault:rank-fail";
-    s.t0 = s.t1 = traceEpoch_ + failAtSec;
+    s.t0 = t0;
+    s.t1 = t1;
+    if (kind == Obs::Marker) {
+        s.lane = lane;
+        s.name = "fault:rank-fail";
+        rec_->record(std::move(s));
+        return;
+    }
+    const bool host = lane == trace::kHostLane;
+    s.lane = host ? hostLane(cmd.tenant) : lane;
+    if (!cmd.label.empty()) {
+        s.name = cmd.label;
+    } else if (cmd.type == Command::Type::Launch) {
+        s.name = "launch";
+    } else if (cmd.type == Command::Type::Copy) {
+        s.name = cmd.dir == CopyDirection::HostToPim ? "memcpy:h2p"
+                                                     : "memcpy:p2h";
+    } else {
+        s.name = cmd.hostUntil >= 0.0 ? "idle-until" : "host";
+    }
+    if (fault)
+        s.name += " !fault";
+    // A launch occupies its tenant's host lane only to issue it, a
+    // copy only while the host blocks on it.
+    if (host && cmd.type == Command::Type::Launch)
+        s.name += " (issue)";
+    else if (host && cmd.type == Command::Type::Copy)
+        s.name += " (wait)";
+    s.tenant = tenantTag(cmd.tenant);
+    s.bytes = lane == trace::kBusLane ? cmd.totalBytes : 0;
+    s.cycles = cycles;
+    s.event = id;
+    s.after = cmd.after;
+    s.idle = kind == Obs::Wait;
     rec_->record(std::move(s));
+}
+
+void
+CommandQueue::count(TenantId t, Ctr c, uint64_t n)
+{
+    total_[c]->add(n);
+    if (telemetry::Counter *tc = tenantCounters_[t][c])
+        tc->add(n);
+}
+
+void
+CommandQueue::finish(const Command &cmd, double inflight_t0, double end,
+                     const Outcome &out)
+{
+    resolved_.push_back(end);
+    resolvedFailed_.push_back(out.failed ? 1 : 0);
+    transferredBytes_ += out.deliveredBytes;
+    if (met_ == nullptr)
+        return;
+    if (inflight_t0 != kNoWindow) {
+        telemetry::TimelineSampler &smp = met_->sampler();
+        smp.eventDelta(depthSid_, traceEpoch_ + inflight_t0, +1);
+        smp.eventDelta(depthSid_, traceEpoch_ + end, -1);
+    }
+    count(cmd.tenant, kResolved, 1);
+    count(cmd.tenant, kFailed, out.failed);
+    count(cmd.tenant, kPoisoned, out.poisoned);
+    count(cmd.tenant, kBusBytes, out.deliveredBytes);
+    count(cmd.tenant, kRetries, out.retries);
+    count(cmd.tenant, kSimEvents, out.simEvents);
 }
 
 int
@@ -187,9 +276,7 @@ CommandQueue::enqueue(Command cmd)
                " (register it with addTenant first)");
     if (met_ != nullptr) {
         ensureTenantMetrics();
-        qm_.issued->add();
-        if (cmd.tenant != kDefaultTenant)
-            tenantMet_[cmd.tenant].issued->add();
+        count(cmd.tenant, kIssued, 1);
     }
     pending_.push_back(std::move(cmd));
     return id;
@@ -220,17 +307,26 @@ CommandQueue::copyDuration(const DpuSet &set, uint64_t total_bytes) const
 }
 
 CommandQueue::Command
+CommandQueue::makeCommand(Command::Type type,
+                          const CommandOptions &opts) const
+{
+    Command cmd;
+    cmd.type = type;
+    cmd.after = opts.after;
+    cmd.tenant = opts.tenant;
+    // Labels only name spans: copy them only while spans are recorded.
+    if (rec_ != nullptr)
+        cmd.label = opts.label;
+    return cmd;
+}
+
+CommandQueue::Command
 CommandQueue::makeCopy(const DpuSet &set, uint64_t total_bytes,
                        bool blocking, const CommandOptions &opts,
                        CopyDirection dir) const
 {
-    Command cmd;
-    cmd.type = Command::Type::Copy;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
+    Command cmd = makeCommand(Command::Type::Copy, opts);
     cmd.dir = dir;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
     cmd.totalBytes = total_bytes;
     cmd.copySeconds = copyDuration(set, total_bytes);
     cmd.blocking = blocking;
@@ -258,50 +354,6 @@ CommandQueue::memcpyAsync(const DpuSet &set, uint64_t bytes_per_dpu,
                             /*blocking=*/false, opts, dir));
 }
 
-double
-CommandQueue::memcpyScatter(const DpuSet &set,
-                            const std::vector<uint64_t> &bytes_per_dpu,
-                            CopyDirection dir, const CommandOptions &opts)
-{
-    PIM_ASSERT(bytes_per_dpu.size() == set.size(),
-               "scatter byte counts must match the set size");
-    uint64_t total = 0;
-    for (const uint64_t b : bytes_per_dpu)
-        total += b;
-    Command cmd = makeCopy(set, total, /*blocking=*/true, opts, dir);
-    const double sec = cmd.copySeconds;
-    enqueue(std::move(cmd));
-    drain();
-    return sec;
-}
-
-Event
-CommandQueue::enqueueScatter(const DpuSet &set,
-                             const std::vector<uint64_t> &bytes_per_dpu,
-                             CopyDirection dir,
-                             const CommandOptions &opts,
-                             bool occupy_ranks)
-{
-    PIM_ASSERT(bytes_per_dpu.size() == set.size(),
-               "scatter byte counts must match the set size");
-    uint64_t total = 0;
-    for (const uint64_t b : bytes_per_dpu)
-        total += b;
-    Command cmd = makeCopy(set, total, /*blocking=*/false, opts, dir);
-    cmd.occupyRanks = occupy_ranks;
-    return enqueue(std::move(cmd));
-}
-
-Event
-CommandQueue::memcpyScatterAsync(const DpuSet &set,
-                                 std::vector<uint64_t> bytes_per_dpu,
-                                 CopyDirection dir,
-                                 const CommandOptions &opts)
-{
-    return enqueueScatter(set, bytes_per_dpu, dir, opts,
-                          /*occupy_ranks=*/true);
-}
-
 Event
 CommandQueue::memcpyBufferedAsync(const DpuSet &set,
                                   uint64_t bytes_per_dpu,
@@ -319,8 +371,14 @@ CommandQueue::memcpyScatterBufferedAsync(
     const DpuSet &set, std::vector<uint64_t> bytes_per_dpu,
     CopyDirection dir, const CommandOptions &opts)
 {
-    return enqueueScatter(set, bytes_per_dpu, dir, opts,
-                          /*occupy_ranks=*/false);
+    PIM_ASSERT(bytes_per_dpu.size() == set.size(),
+               "scatter byte counts must match the set size");
+    uint64_t total = 0;
+    for (const uint64_t b : bytes_per_dpu)
+        total += b;
+    Command cmd = makeCopy(set, total, /*blocking=*/false, opts, dir);
+    cmd.occupyRanks = false;
+    return enqueue(std::move(cmd));
 }
 
 Event
@@ -347,12 +405,7 @@ CommandQueue::launchProgram(const DpuSet &set, LaunchFn program,
     // (cf. PimSystemConfig::samplePerRank for rank-granular targets).
     PIM_ASSERT(!set.slots().empty(),
                "launch target contains no materialized DPU");
-    Command cmd;
-    cmd.type = Command::Type::Launch;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
+    Command cmd = makeCommand(Command::Type::Launch, opts);
     cmd.program = std::move(program);
     cmd.part = set.partition();
     const size_t nslots = cmd.part->slots.size();
@@ -370,12 +423,7 @@ CommandQueue::launchTimed(const DpuSet &set, double seconds,
                           const CommandOptions &opts)
 {
     PIM_ASSERT(seconds >= 0.0, "negative launch duration");
-    Command cmd;
-    cmd.type = Command::Type::Launch;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
+    Command cmd = makeCommand(Command::Type::Launch, opts);
     cmd.launchSeconds = seconds;
     cmd.part = set.partition();
     return enqueue(std::move(cmd));
@@ -392,12 +440,7 @@ CommandQueue::hostCompute(uint64_t tasks, uint64_t instrs_per_task,
 double
 CommandQueue::hostBusy(double seconds, const CommandOptions &opts)
 {
-    Command cmd;
-    cmd.type = Command::Type::HostCompute;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
+    Command cmd = makeCommand(Command::Type::HostCompute, opts);
     cmd.hostSeconds = seconds;
     enqueue(std::move(cmd));
     return seconds;
@@ -406,12 +449,7 @@ CommandQueue::hostBusy(double seconds, const CommandOptions &opts)
 void
 CommandQueue::hostIdleUntil(double seconds, const CommandOptions &opts)
 {
-    Command cmd;
-    cmd.type = Command::Type::HostCompute;
-    cmd.after = opts.after;
-    cmd.tenant = opts.tenant;
-    if (rec_ != nullptr)
-        cmd.label = opts.label;
+    Command cmd = makeCommand(Command::Type::HostCompute, opts);
     cmd.hostUntil = seconds;
     enqueue(std::move(cmd));
 }
@@ -431,24 +469,7 @@ CommandQueue::onComplete(Event e,
                "onComplete needs a pending event, got ", e,
                " (pending range [", first_pending, ", ", next,
                ")): register callbacks right after enqueuing");
-    callbacks_.push_back(Callback{e, /*onErr=*/false, std::move(fn)});
-}
-
-void
-CommandQueue::onError(Event e, std::function<void(Event, double)> fn)
-{
-    const Event first_pending =
-        static_cast<Event>(resolvedBase_ + resolved_.size());
-    const Event next =
-        static_cast<Event>(first_pending
-                           + static_cast<Event>(pending_.size()));
-    PIM_ASSERT(e != kNoEvent,
-               "onError(kNoEvent): the event was never enqueued");
-    PIM_ASSERT(e >= first_pending && e < next,
-               "onError needs a pending event, got ", e,
-               " (pending range [", first_pending, ", ", next,
-               ")): register callbacks right after enqueuing");
-    callbacks_.push_back(Callback{e, /*onErr=*/true, std::move(fn)});
+    callbacks_.push_back(Callback{e, std::move(fn)});
 }
 
 void
@@ -510,48 +531,14 @@ CommandQueue::drain()
     // Phase 2: fold the commands into the timelines, sequentially and
     // in enqueue order — bit-identical for any worker-thread count.
     // Host-side charges land on the issuing tenant's host lane; the bus
-    // and the ranks are shared across tenants. With a recorder
-    // attached, each command also emits one span per lane it occupied,
-    // at exactly the interval the fold computed, tagged with its
-    // tenant's name.
+    // and the ranks are shared across tenants. Every lane interval the
+    // fold computes goes out through emit() (spans, utilization series)
+    // and every resolved command through finish() (completion, depth,
+    // counters), at exactly the times the fold used.
     const double launch_overhead =
         sys_.config().xferCfg.launchLatencySec;
-    auto span = [this](int lane, const std::string &name, double t0,
-                       double t1, const Command &cmd, Event id,
-                       bool idle = false) {
-        trace::Span s;
-        s.lane = lane;
-        s.name = name;
-        s.tenant = tenantTag(cmd.tenant);
-        s.t0 = traceEpoch_ + t0;
-        s.t1 = traceEpoch_ + t1;
-        s.bytes = cmd.type == Command::Type::Copy
-                && lane == trace::kBusLane
-            ? cmd.totalBytes : 0;
-        s.event = id;
-        s.after = cmd.after;
-        s.idle = idle;
-        rec_->record(std::move(s));
-    };
     if (met_ != nullptr)
         ensureTenantMetrics();
-    // Metric helpers (met_ != nullptr only): sampler times are
-    // epoch-absolute so series stay monotonic across resetTimeline,
-    // exactly like trace spans.
-    auto metUtil = [this](int sid, double t0, double t1) {
-        met_->sampler().accumulate(sid, traceEpoch_ + t0,
-                                   traceEpoch_ + t1);
-    };
-    auto metRankBusy = [&](const Command &cmd, double t0, double t1,
-                           unsigned r) {
-        metUtil(rankSid_[r], t0, t1);
-        metUtil(ranksBusySid_, t0, t1);
-        metUtil(tenantMet_[cmd.tenant].ranksBusySid, t0, t1);
-    };
-    auto metInFlight = [this](double t0, double t1) {
-        met_->sampler().eventDelta(depthSid_, traceEpoch_ + t0, +1);
-        met_->sampler().eventDelta(depthSid_, traceEpoch_ + t1, -1);
-    };
     const Clock::time_point t_fold_start = Clock::now();
     for (Command &cmd : pending_) {
         const Event id = static_cast<Event>(
@@ -559,29 +546,17 @@ CommandQueue::drain()
         const double dep =
             cmd.after == kNoEvent ? 0.0 : eventTime(cmd.after);
         double &host_t = hostT_[cmd.tenant];
-        // Set by the fault paths below; recorded alongside cmd.end.
-        bool failed = false;
+        // Filled by the fault paths below and the copy's delivery.
+        Outcome out;
         if (inj_ != nullptr && cmd.after != kNoEvent
             && eventFailedInternal(cmd.after)) {
             // Poisoned: the dependency failed, so this command errors
             // out the moment the failure is known, charging nothing to
             // any timeline — the failure propagates down the dependent
             // chain and nowhere else.
-            cmd.end = std::max(host_t, dep);
             inj_->notePoisoned();
-            if (met_ != nullptr) {
-                qm_.resolved->add();
-                qm_.failed->add();
-                qm_.poisoned->add();
-                const TenantMetrics &tm = tenantMet_[cmd.tenant];
-                if (tm.poisoned != nullptr) {
-                    tm.resolved->add();
-                    tm.failed->add();
-                    tm.poisoned->add();
-                }
-            }
-            resolved_.push_back(cmd.end);
-            resolvedFailed_.push_back(1);
+            out.failed = out.poisoned = true;
+            finish(cmd, kNoWindow, std::max(host_t, dep), out);
             continue;
         }
         switch (cmd.type) {
@@ -589,12 +564,7 @@ CommandQueue::drain()
             // The host pays the driver-issue overhead, then moves on.
             const double issue_t0 = host_t;
             host_t += launch_overhead;
-            std::string name; // only materialized when tracing
-            if (rec_ != nullptr) {
-                name = cmd.label.empty() ? "launch" : cmd.label;
-                span(hostLane(cmd.tenant), name + " (issue)", issue_t0,
-                     host_t, cmd, id);
-            }
+            emit(trace::kHostLane, issue_t0, host_t, Obs::Busy, cmd, id);
             // A rank with sampled members is busy for its slowest one;
             // an unsampled rank is charged the slowest sampled member
             // of the whole launch (representative-sample assumption).
@@ -653,10 +623,10 @@ CommandQueue::drain()
                         // Already dead: nothing runs, nothing is
                         // charged; the command errors back at the time
                         // it would have started.
-                        failed = rank_fault = true;
+                        out.failed = rank_fault = true;
                         charge = false;
                         dur = 0.0;
-                        traceRankDeath(r, fail_at);
+                        traceRankDeath(r, fail_at, cmd);
                     } else {
                         const double mult =
                             inj_->launchMultiplier(r, start);
@@ -667,18 +637,18 @@ CommandQueue::drain()
                         if (static_cast<int>(r) == hang_rank) {
                             // Hung kernel: the timeout reaps it.
                             dur = timeout;
-                            failed = rank_fault = true;
+                            out.failed = rank_fault = true;
                         } else if (timeout > 0.0 && dur > timeout) {
                             dur = timeout;
-                            failed = rank_fault = true;
+                            out.failed = rank_fault = true;
                             inj_->noteTimeout();
                         }
                         if (fail_at < start + dur) {
                             // Dies mid-launch: busy until the death,
                             // then the rank's timeline freezes.
                             dur = fail_at - start;
-                            failed = rank_fault = true;
-                            traceRankDeath(r, fail_at);
+                            out.failed = rank_fault = true;
+                            traceRankDeath(r, fail_at, cmd);
                         }
                     }
                 }
@@ -686,39 +656,20 @@ CommandQueue::drain()
                     rankT_[r] = start + dur;
                     launch_end = std::max(launch_end, rankT_[r]);
                     launch_work = std::max(launch_work, dur);
-                    if (met_ != nullptr)
-                        metRankBusy(cmd, start, rankT_[r], r);
+                    emit(trace::rankLane(r), start, rankT_[r], Obs::Busy,
+                         cmd, id, rank_fault, cycles);
                 } else {
                     launch_end = std::max(launch_end, start);
-                }
-                if (rec_ != nullptr && charge) {
-                    trace::Span s;
-                    s.lane = trace::rankLane(r);
-                    s.name = rank_fault ? name + " !fault" : name;
-                    s.tenant = tenantTag(cmd.tenant);
-                    s.t0 = traceEpoch_ + start;
-                    s.t1 = traceEpoch_ + rankT_[r];
-                    s.cycles = cycles;
-                    s.event = id;
-                    s.after = cmd.after;
-                    rec_->record(std::move(s));
                 }
             }
             // Ranks run concurrently, so one launch contributes its
             // slowest rank once to the serial-composition work sum.
             launchWork_ += launch_work;
-            cmd.end = launch_end;
-            if (met_ != nullptr) {
-                metUtil(tenantMet_[cmd.tenant].hostSid, issue_t0,
-                        host_t);
-                metInFlight(issue_t0, cmd.end);
-                uint64_t ev = 0;
-                if (cmd.eventsOff != kNoArena) {
-                    for (size_t j = 0; j < part.slots.size(); ++j)
-                        ev += slotEventsArena_[cmd.eventsOff + j];
-                }
-                qm_.simEvents->add(ev);
+            if (cmd.eventsOff != kNoArena) {
+                for (size_t j = 0; j < part.slots.size(); ++j)
+                    out.simEvents += slotEventsArena_[cmd.eventsOff + j];
             }
+            finish(cmd, issue_t0, launch_end, out);
             break;
           }
           case Command::Type::Copy: {
@@ -738,116 +689,66 @@ CommandQueue::drain()
                 for (const unsigned r : cmd.part->ranks) {
                     if (inj_->rankFailedBy(r, start)) {
                         dead_target = true;
-                        traceRankDeath(r, inj_->rankFailSeconds(r));
+                        traceRankDeath(r, inj_->rankFailSeconds(r), cmd);
                     }
                 }
                 if (dead_target) {
                     // The DMA errors back: the bus is held for the one
                     // attempt, the data never lands on any rank.
-                    failed = true;
+                    out.failed = true;
                 } else {
-                    const fault::TransferOutcome out =
+                    const fault::TransferOutcome xfer =
                         inj_->transfer(start, cmd.copySeconds);
-                    copy_sec = out.busSeconds;
-                    failed = out.failed;
-                    if (met_ != nullptr && out.attempts > 1) {
-                        const uint64_t n = out.attempts - 1;
-                        qm_.retries->add(n);
-                        const TenantMetrics &tm =
-                            tenantMet_[cmd.tenant];
-                        if (tm.retries != nullptr)
-                            tm.retries->add(n);
-                    }
+                    copy_sec = xfer.busSeconds;
+                    out.failed = xfer.failed;
+                    out.retries = xfer.attempts - 1;
                 }
             }
             const double end = start + copy_sec;
             busT_ = end;
-            if (cmd.occupyRanks && !failed) {
-                for (const unsigned r : cmd.part->ranks)
-                    rankT_[r] = end;
-            }
-            if (cmd.blocking)
-                host_t = end;
+            copyWork_ += copy_sec;
+            emit(trace::kBusLane, start, end, Obs::Busy, cmd, id,
+                 out.failed);
             // A failed transfer moved wire traffic but delivered no
             // payload; retries of a succeeding one deliver it once.
-            if (!failed)
-                transferredBytes_ += cmd.totalBytes;
-            copyWork_ += copy_sec;
-            cmd.end = end;
-            if (met_ != nullptr) {
-                metUtil(busSid_, start, end);
-                if (cmd.occupyRanks && !failed) {
-                    for (const unsigned r : cmd.part->ranks)
-                        metRankBusy(cmd, start, end, r);
+            if (!out.failed) {
+                out.deliveredBytes = cmd.totalBytes;
+                if (cmd.occupyRanks) {
+                    for (const unsigned r : cmd.part->ranks) {
+                        rankT_[r] = end;
+                        emit(trace::rankLane(r), start, end, Obs::Busy,
+                             cmd, id);
+                    }
                 }
-                if (!failed) {
-                    qm_.busBytes->add(cmd.totalBytes);
-                    const TenantMetrics &tm = tenantMet_[cmd.tenant];
-                    if (tm.busBytes != nullptr)
-                        tm.busBytes->add(cmd.totalBytes);
-                }
-                metInFlight(start, end);
             }
-            if (rec_ != nullptr) {
-                std::string name = cmd.label.empty()
-                    ? std::string(cmd.dir == CopyDirection::HostToPim
-                                      ? "memcpy:h2p" : "memcpy:p2h")
-                    : cmd.label;
-                if (failed)
-                    name += " !fault";
-                span(trace::kBusLane, name, start, end, cmd, id);
-                if (cmd.occupyRanks && !failed) {
-                    for (const unsigned r : cmd.part->ranks)
-                        span(trace::rankLane(r), name, start, end, cmd,
-                             id);
-                }
-                if (cmd.blocking && end > host_t0)
-                    span(hostLane(cmd.tenant), name + " (wait)",
-                         host_t0, end, cmd, id, /*idle=*/true);
+            if (cmd.blocking) {
+                host_t = end;
+                if (end > host_t0)
+                    emit(trace::kHostLane, host_t0, end, Obs::Wait, cmd,
+                         id, out.failed);
             }
+            finish(cmd, start, end, out);
             break;
           }
           case Command::Type::HostCompute: {
             const double host_t0 = host_t;
             if (cmd.hostUntil >= 0.0) {
                 host_t = std::max({host_t, cmd.hostUntil, dep});
-                if (rec_ != nullptr && host_t > host_t0)
-                    span(hostLane(cmd.tenant),
-                         cmd.label.empty() ? std::string("idle-until")
-                                           : cmd.label,
-                         host_t0, host_t, cmd, id, /*idle=*/true);
+                if (host_t > host_t0)
+                    emit(trace::kHostLane, host_t0, host_t, Obs::Wait,
+                         cmd, id);
+                finish(cmd, kNoWindow, host_t, out);
             } else {
                 const double start = std::max(host_t0, dep);
                 host_t = start + cmd.hostSeconds;
                 hostWork_ += cmd.hostSeconds;
-                if (rec_ != nullptr)
-                    span(hostLane(cmd.tenant),
-                         cmd.label.empty() ? std::string("host")
-                                           : cmd.label,
-                         start, host_t, cmd, id);
-                if (met_ != nullptr) {
-                    metUtil(tenantMet_[cmd.tenant].hostSid, start,
-                            host_t);
-                    metInFlight(start, host_t);
-                }
+                emit(trace::kHostLane, start, host_t, Obs::Busy, cmd,
+                     id);
+                finish(cmd, start, host_t, out);
             }
-            cmd.end = host_t;
             break;
           }
         }
-        if (met_ != nullptr) {
-            qm_.resolved->add();
-            const TenantMetrics &tm = tenantMet_[cmd.tenant];
-            if (tm.resolved != nullptr)
-                tm.resolved->add();
-            if (failed) {
-                qm_.failed->add();
-                if (tm.failed != nullptr)
-                    tm.failed->add();
-            }
-        }
-        resolved_.push_back(cmd.end);
-        resolvedFailed_.push_back(failed ? 1 : 0);
     }
     const Clock::time_point t_fold_end = Clock::now();
     stats_.drains += 1;
@@ -859,10 +760,10 @@ CommandQueue::drain()
             .count();
     stats_.wallSec += secondsSince(t_start);
     if (met_ != nullptr) {
-        qm_.drainPhase1->set(stats_.phase1Sec);
-        qm_.drainPhase2->set(stats_.phase2Sec);
+        drainPhase1_->set(stats_.phase1Sec);
+        drainPhase2_->set(stats_.phase2Sec);
         if (stats_.wallSec > 0.0)
-            qm_.drainCps->set(static_cast<double>(stats_.commands)
+            drainCps_->set(static_cast<double>(stats_.commands)
                               / stats_.wallSec);
     }
     // Clear the commands AND the arenas before dispatching callbacks:
@@ -890,10 +791,9 @@ CommandQueue::drain()
                          });
         inCallbacks_ = true;
         for (Callback &cb : due) {
-            // An onComplete callback fires only if its event
-            // succeeded, an onError one only if it failed; the
-            // unmatched registration is dropped silently.
-            if (eventFailedInternal(cb.event) == cb.onErr)
+            // A callback fires only if its event succeeded; failures
+            // are read back through eventFailed().
+            if (!eventFailedInternal(cb.event))
                 cb.fn(cb.event, eventTime(cb.event));
         }
         inCallbacks_ = false;
@@ -975,7 +875,7 @@ CommandQueue::resetTimeline()
     // Keep the trace and sampler timelines monotonic across the reset:
     // spans and bins of the new epoch start where the old epoch's
     // timelines ended.
-    if (rec_ != nullptr || met_ != nullptr)
+    if (observed_)
         traceEpoch_ += joinedTime();
     std::fill(hostT_.begin(), hostT_.end(), 0.0);
     busT_ = 0.0;

@@ -49,25 +49,32 @@
  * over all sampled members of the launch (the sample is assumed
  * representative).
  *
- * Tracing: attachRecorder() hooks a trace::Recorder into the drain —
- * every resolved command then also emits spans on the lane(s) it
- * occupied (host, bus, per rank), carrying bytes/cycles and its Event
- * id/dependency, so the exact interval arithmetic above becomes
- * visible in chrome://tracing and analyzable as per-lane occupancy.
- * Spans of a registered tenant carry the tenant's name (the hook for
- * trace::analyzeOccupancy's per-tenant attribution), and a tenant's
- * host lane appears as a dedicated "host:<name>" lane. With no recorder
- * attached the cost is one pointer test per resolved command.
+ * Observation: the fold reports what it computes through one private
+ * pair. emit() takes each lane interval it charges (a launch's issue on
+ * the host lane, its slice on each rank, a copy on the bus and on its
+ * ranks, the host's wait on a blocking copy, idle-until gaps, host
+ * compute, and a rank's death marker); finish() takes each resolved
+ * command (its completion, in-flight window, and outcome: failed,
+ * poisoned, delivered bytes, retries, simulation events). Both feed
+ * whichever sinks are attached. attachRecorder() turns each interval
+ * into a trace::Span carrying bytes/cycles and the Event
+ * id/dependency, so the exact interval arithmetic above becomes visible
+ * in chrome://tracing and analyzable as per-lane occupancy; spans of a
+ * registered tenant carry the tenant's name (the key of
+ * trace::analyzeOccupancy's per-tenant attribution) and its host lane
+ * is a dedicated "host:<name>" lane. attachMetrics() turns busy
+ * intervals into utilization series and outcomes into counters (see
+ * there). With nothing attached, each emission point costs one flag
+ * test and builds no string.
  *
  * Fault injection: attachFaultInjector() routes every fold decision
  * through a deterministic fault::FaultInjector. Commands then gain a
- * failure state — eventFailed(e) reports it, onError(e, fn) registers
- * an error callback dispatched in the same (completion time, event id)
- * order as onComplete. Semantics: a launch or transfer touching a rank
- * that is dead at its start time fails immediately without charging
- * that rank (a transfer still holds the bus for the erroring attempt);
- * a rank dying mid-launch truncates the launch at the death and fails
- * the command; transient transfer faults are retried with capped
+ * failure state — eventFailed(e) reports it, and onComplete callbacks
+ * of failed events are dropped. Semantics: a launch or transfer
+ * touching a rank that is dead at its start time fails immediately
+ * without charging that rank (a transfer still holds the bus for the
+ * erroring attempt); a rank dying mid-launch truncates the launch at
+ * the death and fails the command; transient transfer faults are retried with capped
  * exponential backoff costed on the bus (permanent failure once the
  * attempt budget is exhausted); launches exceeding the timeout knob
  * are reaped at start + timeout; and a command whose `after`
@@ -84,6 +91,7 @@
 #ifndef PIM_CORE_COMMAND_QUEUE_HH
 #define PIM_CORE_COMMAND_QUEUE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -222,23 +230,6 @@ class CommandQueue
                       CopyDirection dir, const CommandOptions &opts = {});
 
     /**
-     * Blocking scatter/gather transfer with one byte count per DPU of
-     * @p set (indexed by position in the set; must match set.size()).
-     * Costed as one batched call moving the summed payload at the
-     * set-wide bandwidth. @return seconds of the copy itself.
-     */
-    double memcpyScatter(const DpuSet &set,
-                         const std::vector<uint64_t> &bytes_per_dpu,
-                         CopyDirection dir,
-                         const CommandOptions &opts = {});
-
-    /** Asynchronous scatter/gather transfer. @return completion event. */
-    Event memcpyScatterAsync(const DpuSet &set,
-                             std::vector<uint64_t> bytes_per_dpu,
-                             CopyDirection dir,
-                             const CommandOptions &opts = {});
-
-    /**
      * Double-buffered asynchronous transfer of @p bytes_per_dpu to/from
      * every DPU of @p set: the DMA lands in the inactive half of a
      * double-buffered region, so it occupies the bus (serializing with
@@ -251,8 +242,13 @@ class CommandQueue
                               CopyDirection dir,
                               const CommandOptions &opts = {});
 
-    /** Double-buffered scatter/gather (per-DPU byte counts); see
-     *  memcpyBufferedAsync. @return completion event. */
+    /**
+     * Double-buffered scatter/gather: like memcpyBufferedAsync, with
+     * one byte count per DPU of @p set (indexed by position in the set;
+     * must match set.size()), costed as one batched call moving the
+     * summed payload at the set-wide bandwidth. @return completion
+     * event.
+     */
     Event memcpyScatterBufferedAsync(const DpuSet &set,
                                      std::vector<uint64_t> bytes_per_dpu,
                                      CopyDirection dir,
@@ -324,19 +320,10 @@ class CommandQueue
      * at the next drain) but must not force a drain themselves
      * (sync()/eventSeconds/blocking transfers are fatal inside one).
      * Fatal if @p e is not pending (kNoEvent, already resolved, or
-     * never enqueued): register immediately after enqueuing.
+     * never enqueued): register immediately after enqueuing. A
+     * callback on an event that FAILED is dropped (see eventFailed).
      */
     void onComplete(Event e, std::function<void(Event, double)> fn);
-
-    /**
-     * Register a host-side *error* callback on pending event @p e:
-     * dispatched exactly like onComplete (same deterministic timeline
-     * order, same restrictions) but only if the event FAILED; an
-     * onComplete callback on a failed event (and an onError callback
-     * on a succeeded one) is dropped. Register both to cover both
-     * outcomes.
-     */
-    void onError(Event e, std::function<void(Event, double)> fn);
 
     /**
      * Failure state of event @p e: true if the command failed (dead
@@ -423,10 +410,11 @@ class CommandQueue
     void resetTimeline();
 
     /**
-     * Start feeding per-command spans to @p rec (nullptr detaches).
-     * Drains pending commands first — already-enqueued commands resolve
-     * under the previous recorder (if any) — and restarts the trace
-     * origin at zero.
+     * Start recording every interval the fold emits as a span in
+     * @p rec (nullptr detaches): busy slices, host waits (idle spans),
+     * and rank-death markers. Drains pending commands first —
+     * already-enqueued commands resolve under the previous recorder
+     * (if any) — and restarts the trace origin at zero.
      */
     void attachRecorder(trace::Recorder *rec);
 
@@ -436,15 +424,18 @@ class CommandQueue
     /**
      * Start feeding metrics to @p met (nullptr detaches). Drains
      * pending commands first — already-enqueued commands resolve under
-     * the previous registry (if any). The fold then maintains, per
-     * tenant, the commands issued/resolved/failed, delivered bus
-     * bytes, transfer retries, and poisoned dependencies as counters,
-     * and drives the registry's TimelineSampler with bus/host/per-rank
-     * utilization, busy-rank averages (global and per tenant), and the
-     * in-flight command depth — all in *simulated* time from the
-     * sequential fold, so every metric is bit-identical for any
-     * worker-thread count. With no registry attached the cost is one
-     * pointer test per command (the same contract as attachRecorder).
+     * the previous registry (if any). The same intervals and outcomes
+     * a recorder sees then drive the registry: each busy interval
+     * lands in its lane's utilization series ("util:host[:<tenant>]",
+     * "util:bus", "util:rank<r>" plus the "ranks_busy" and
+     * "ranks_busy:<tenant>" averages), each resolved command's
+     * in-flight window in the "depth:queue" level series, and its
+     * outcome in the queue.* counters — one set of totals and one
+     * ":<tenant>" set per named tenant (commands issued, resolved,
+     * failed, poisoned dependencies, delivered bus bytes, transfer
+     * retries; simulation events as a total only). All of it is in
+     * *simulated* time from the sequential fold, so every metric is
+     * bit-identical for any worker-thread count.
      */
     void attachMetrics(telemetry::Registry *met);
 
@@ -464,7 +455,7 @@ class CommandQueue
         /** Host issue timeline the command runs on. */
         TenantId tenant = kDefaultTenant;
         /** Trace span name; empty = the command-kind default. Only
-         *  populated while a recorder is attached. */
+         *  populated while a recorder is attached (makeCommand). */
         std::string label;
         /** Copy direction (trace naming only; the cost is symmetric). */
         CopyDirection dir = CopyDirection::HostToPim;
@@ -499,9 +490,6 @@ class CommandQueue
          *  kNoArena unless a metrics registry was attached at enqueue,
          *  so the phase-1 check needs no met_ read. */
         size_t eventsOff = kNoArena;
-
-        /** Completion time, filled at drain. */
-        double end = 0.0;
     };
 
     /** One (command, slot-position) link of a per-slot phase-1 chain:
@@ -515,10 +503,10 @@ class CommandQueue
     };
 
     Event enqueue(Command cmd);
-    Event enqueueScatter(const DpuSet &set,
-                         const std::vector<uint64_t> &bytes_per_dpu,
-                         CopyDirection dir, const CommandOptions &opts,
-                         bool occupy_ranks);
+    /** A command of @p type with the options' dependency, tenant, and
+     *  (while a recorder is attached) label. */
+    Command makeCommand(Command::Type type,
+                        const CommandOptions &opts) const;
     double copyDuration(const DpuSet &set, uint64_t total_bytes) const;
     Command makeCopy(const DpuSet &set, uint64_t total_bytes,
                      bool blocking, const CommandOptions &opts,
@@ -538,8 +526,59 @@ class CommandQueue
      *  history: sync() is a recovery barrier). */
     bool eventFailedInternal(Event e) const;
 
-    /** Emit the one-off zero-width rank-death marker span. */
-    void traceRankDeath(unsigned r, double failAtSec);
+    /** What an emitted lane interval was. */
+    enum class Obs : uint8_t {
+        Busy,   ///< the lane did the command's work
+        Wait,   ///< the host lane stalled (blocking copy, idle-until)
+        Marker, ///< zero-width rank-death marker
+    };
+
+    /** How one command resolved (see finish). */
+    struct Outcome
+    {
+        bool failed = false;
+        /** Failed because its `after` dependency had failed. */
+        bool poisoned = false;
+        /** Payload that landed (successful copies only). */
+        uint64_t deliveredBytes = 0;
+        uint64_t retries = 0;
+        uint64_t simEvents = 0;
+    };
+
+    /** finish()'s in-flight start for commands with no window
+     *  (poisoned, idle-until). */
+    static constexpr double kNoWindow = -1.0;
+
+    /**
+     * Report the interval [t0, t1) the fold charged on @p lane
+     * (kHostLane means the issuing tenant's host lane) for command
+     * @p cmd / event @p id: a span for the recorder and, for Busy
+     * kinds, the lane's utilization series. @p fault marks a slice cut
+     * by a fault; @p cycles is a launch slice's DPU makespan. With
+     * nothing attached this is one flag test.
+     */
+    void emit(int lane, double t0, double t1, Obs kind,
+              const Command &cmd, Event id, bool fault = false,
+              uint64_t cycles = 0)
+    {
+        if (observed_)
+            emitObserved(lane, t0, t1, kind, cmd, id, fault, cycles);
+    }
+    void emitObserved(int lane, double t0, double t1, Obs kind,
+                      const Command &cmd, Event id, bool fault,
+                      uint64_t cycles);
+
+    /**
+     * Resolve @p cmd at @p end with @p out: record its completion and
+     * failure state and delivered bytes and, with metrics attached, its
+     * in-flight window [@p inflight_t0, @p end) (kNoWindow: none) and
+     * its counters. Called exactly once per command, in enqueue order.
+     */
+    void finish(const Command &cmd, double inflight_t0, double end,
+                const Outcome &out);
+
+    /** Emit rank @p r's death marker, once per rank. */
+    void traceRankDeath(unsigned r, double failAtSec, const Command &cmd);
 
     /** Trace lane of tenant @p t's host timeline. */
     int hostLane(TenantId t) const;
@@ -574,66 +613,59 @@ class CommandQueue
     double launchWork_ = 0.0;
     double copyWork_ = 0.0;
     double hostWork_ = 0.0;
-    /** One registered completion/error callback on a pending event. */
+    /** One registered completion callback on a pending event. */
     struct Callback
     {
         Event event;
-        /** True for onError registrations: fire only on failure. */
-        bool onErr;
         std::function<void(Event, double)> fn;
     };
-    /** Registered completion/error callbacks (pending events only). */
+    /** Registered completion callbacks (pending events only). */
     std::vector<Callback> callbacks_;
     /** True while completion callbacks run (drain re-entry guard). */
     bool inCallbacks_ = false;
-    /** Metrics cached per tenant while a registry is attached:
-     *  suffixed counters (named tenants only; tenant 0 owns the plain
-     *  totals) and the tenant's sampler series ids. */
-    struct TenantMetrics
-    {
-        telemetry::Counter *issued = nullptr;
-        telemetry::Counter *resolved = nullptr;
-        telemetry::Counter *failed = nullptr;
-        telemetry::Counter *poisoned = nullptr;
-        telemetry::Counter *busBytes = nullptr;
-        telemetry::Counter *retries = nullptr;
-        /** "util:host" (tenant 0) / "util:host:<name>". */
-        int hostSid = -1;
-        /** "ranks_busy:<name>" (avg busy ranks of this tenant). */
-        int ranksBusySid = -1;
+    /** The queue.* counters, in the order of their names. */
+    enum Ctr : unsigned {
+        kIssued,
+        kResolved,
+        kFailed,
+        kPoisoned,
+        kBusBytes,
+        kRetries,
+        kSimEvents, ///< last: counted as a total only
+        kNumCtrs,
     };
+    /** One counter per Ctr; nullptr where the scope has none. */
+    using CounterSet = std::array<telemetry::Counter *, kNumCtrs>;
 
-    /** Queue-wide counters cached while a registry is attached. */
-    struct QueueCounters
-    {
-        telemetry::Counter *issued = nullptr;
-        telemetry::Counter *resolved = nullptr;
-        telemetry::Counter *failed = nullptr;
-        telemetry::Counter *poisoned = nullptr;
-        telemetry::Counter *busBytes = nullptr;
-        telemetry::Counter *retries = nullptr;
-        telemetry::Counter *simEvents = nullptr;
-        /** Host-wall drain gauges (Registry::hostGauge — exported but
-         *  excluded from the deterministic snapshot). */
-        telemetry::Gauge *drainPhase1 = nullptr;
-        telemetry::Gauge *drainPhase2 = nullptr;
-        telemetry::Gauge *drainCps = nullptr;
-    };
+    /** Add @p n to counter @p c's total and to tenant @p t's own. */
+    void count(TenantId t, Ctr c, uint64_t n);
 
-    /** Extend tenantMet_ to cover every registered tenant. */
+    /** Bind counters and series of tenants registered since. */
     void ensureTenantMetrics();
 
     /** Span sink; nullptr = tracing off. */
     trace::Recorder *rec_ = nullptr;
     /** Metrics sink; nullptr = metrics off. */
     telemetry::Registry *met_ = nullptr;
-    QueueCounters qm_{};
-    std::vector<TenantMetrics> tenantMet_;
-    /** Sampler series ids (valid while met_ != nullptr). */
+    /** rec_ or met_ attached: the one test emit() makes. */
+    bool observed_ = false;
+    /** Bound while met_ != nullptr: the queue-wide totals, and one
+     *  set per tenant (tenant 0's all null: it owns only the totals). */
+    CounterSet total_{};
+    std::vector<CounterSet> tenantCounters_;
+    /** Host-wall drain gauges (Registry::hostGauge — exported but
+     *  excluded from the deterministic snapshot). */
+    telemetry::Gauge *drainPhase1_ = nullptr;
+    telemetry::Gauge *drainPhase2_ = nullptr;
+    telemetry::Gauge *drainCps_ = nullptr;
+    /** Sampler series ids (valid while met_ != nullptr); the per-tenant
+     *  ones are indexed by TenantId. */
     int busSid_ = -1;
     int depthSid_ = -1;
     int ranksBusySid_ = -1;
     std::vector<int> rankSid_;
+    std::vector<int> hostSid_;
+    std::vector<int> tenantRanksBusySid_;
     /** Fault source; nullptr = fault-free fold. */
     fault::FaultInjector *inj_ = nullptr;
     /** Ranks whose death marker span was already emitted. */

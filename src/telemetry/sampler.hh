@@ -1,10 +1,11 @@
 /**
  * @file
  * Simulated-time series sampler. The CommandQueue drives it from the
- * sequential drain fold: every resolved command reports the intervals
- * it occupied (bus, host lanes, ranks) and its in-flight window, and
- * the sampler bins them at a fixed simulated-time cadence. Because the
- * fold runs in enqueue order regardless of the worker-thread count,
+ * sequential drain fold's single emission path: each busy lane
+ * interval the fold emits (bus, host lanes, ranks), the same one a
+ * trace recorder turns into a span, and each resolved command's
+ * in-flight window, binned at a fixed simulated-time cadence. Because
+ * the fold runs in enqueue order regardless of the worker-thread count,
  * the binned series are bit-identical across PIM_SIM_THREADS — and
  * because the clock is the modeled timeline, the curves are properties
  * of the experiment, not of the host machine.

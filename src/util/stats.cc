@@ -103,36 +103,6 @@ Percentile::reset()
     sorted_ = true;
 }
 
-Histogram::Histogram(size_t bins, double lo, double hi)
-    : counts_(bins, 0), lo_(lo), hi_(hi)
-{
-    PIM_ASSERT(bins > 0, "histogram needs at least one bin");
-    PIM_ASSERT(hi > lo, "histogram range must be non-empty");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    double idx = (x - lo_) / width;
-    size_t i;
-    if (idx < 0.0)
-        i = 0;
-    else if (idx >= static_cast<double>(counts_.size()))
-        i = counts_.size() - 1;
-    else
-        i = static_cast<size_t>(idx);
-    ++counts_[i];
-    ++total_;
-}
-
-double
-Histogram::binLow(size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
-}
-
 double
 geomean(const std::vector<double> &xs)
 {

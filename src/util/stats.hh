@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight statistics containers used by the simulator, the allocator
- * instrumentation, and the benchmark harnesses: running moments,
- * percentile estimation from retained samples, and fixed-bin histograms.
+ * instrumentation, and the benchmark harnesses: running moments and
+ * percentile estimation from retained samples.
  */
 
 #ifndef PIM_UTIL_STATS_HH
@@ -95,38 +95,6 @@ class Percentile
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Fixed-width linear histogram over [lo, hi); out-of-range samples clamp
- * into the first/last bin so mass is never silently dropped.
- */
-class Histogram
-{
-  public:
-    /** @param bins number of bins (>0); @param lo/hi range covered. */
-    Histogram(size_t bins, double lo, double hi);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Count in bin i. */
-    uint64_t bin(size_t i) const { return counts_.at(i); }
-
-    /** Number of bins. */
-    size_t bins() const { return counts_.size(); }
-
-    /** Lower edge of bin i. */
-    double binLow(size_t i) const;
-
-    /** Total samples. */
-    uint64_t total() const { return total_; }
-
-  private:
-    std::vector<uint64_t> counts_;
-    double lo_;
-    double hi_;
-    uint64_t total_ = 0;
 };
 
 /** Geometric mean of a vector of positive values; 0 if empty. */

@@ -4,7 +4,8 @@
  * FaultSpec parsing (and its fail-fast fatals), FaultPlan determinism
  * and named-stream isolation, util::Rng named sub-streams, the
  * CommandQueue's fault-aware fold (dead ranks, poisoned dependents,
- * transfer retries, timeouts, hangs, degraded ranks, onError dispatch),
+ * transfer retries, timeouts, hangs, degraded ranks, callbacks skipped
+ * on failure),
  * dependency-handle validation, RankScheduler quarantine / revocation /
  * waiting-queue / teardown, and end-to-end workload recovery (serving
  * and graph-update) including thread-count invariance under injected
@@ -369,31 +370,29 @@ TEST(QueueFaults, FailedDependencyPoisonsOnlyDependents)
     EXPECT_EQ(inj->stats().poisonedCommands, 2u);
 }
 
-TEST(QueueFaults, ErrorCallbacksFireInTimelineOrder)
+TEST(QueueFaults, CompletionCallbacksSkipFailedEvents)
 {
     PimSystem sys(smallSystem(128, 64));
     CommandQueue q(sys);
     const auto inj = injectorOf({rankFail(0.0, 0)}, sys.numRanks());
     q.attachFaultInjector(inj.get());
 
-    // Two failing commands and one succeeding, interleaved; onError
-    // fires only on failure, onComplete only on success, both in
-    // (completion time, event id) order.
+    // Two failing commands and one succeeding, interleaved: onComplete
+    // fires only on success, and eventFailed reports the other two.
     const Event f1 = q.launchTimed(sys.rank(0), 1e-3);
     const Event s1 = q.launchTimed(sys.rank(1), 2e-3);
     const Event f2 = q.launchTimed(sys.rank(0), 1e-3);
-    std::vector<Event> errs;
     std::vector<Event> dones;
-    q.onError(f1, [&](Event e, double) { errs.push_back(e); });
-    q.onError(f2, [&](Event e, double) { errs.push_back(e); });
-    q.onError(s1, [&](Event e, double) { errs.push_back(e); });
-    q.onComplete(s1, [&](Event e, double) { dones.push_back(e); });
     q.onComplete(f1, [&](Event e, double) { dones.push_back(e); });
-    q.sync();
+    q.onComplete(s1, [&](Event e, double) { dones.push_back(e); });
+    q.onComplete(f2, [&](Event e, double) { dones.push_back(e); });
 
-    ASSERT_EQ(errs.size(), 2u);
-    EXPECT_EQ(errs[0], f1); // both fail at t=0: event-id order
-    EXPECT_EQ(errs[1], f2);
+    EXPECT_TRUE(q.eventFailed(f1)); // drains, dispatching callbacks
+    EXPECT_TRUE(q.eventFailed(f2));
+    EXPECT_FALSE(q.eventFailed(s1));
+    // Each failed launch errors back right after its own issue.
+    EXPECT_LT(q.eventSeconds(f1), q.eventSeconds(f2));
+    EXPECT_LT(q.eventSeconds(f2), q.eventSeconds(s1));
     ASSERT_EQ(dones.size(), 1u);
     EXPECT_EQ(dones[0], s1);
 }

@@ -361,9 +361,8 @@ TEST(Tenants, CoTenantRunIsThreadCountInvariant)
                     });
                 },
                 {.after = last_s, .label = "serve", .tenant = serving});
-            const Event up = q.memcpyScatterAsync(
-                gset, std::vector<uint64_t>(gset.size(), 4096),
-                CopyDirection::HostToPim,
+            const Event up = q.memcpyAsync(
+                gset, 4096, CopyDirection::HostToPim,
                 {.after = last_g, .label = "ship", .tenant = graph});
             last_g = q.launchProgram(
                 gset,

@@ -221,6 +221,24 @@ TEST(PimMalloc, RandomAllocFreeChurnStaysConsistent)
     EXPECT_EQ(a.stats().failures, 0u);
 }
 
+TEST(PimMalloc, LaunchWiderThanConfiguredTaskletsFreesToSharedCache)
+{
+    // 8 tasklets on a 4-cache config: tasklets 4..7 share caches 0..3,
+    // and each free must find the cache its block came from.
+    sim::Dpu dpu;
+    PimMallocAllocator a(dpu, testConfig(MetadataMode::SwBuffer, true, 4));
+    dpu.run(1, [&](sim::Tasklet &t) { a.init(t); });
+    std::vector<int> freed(8, 0);
+    dpu.run(8, [&](sim::Tasklet &t) {
+        const auto p = a.malloc(t, 64);
+        ASSERT_NE(p, sim::kNullAddr);
+        freed[t.id()] = a.free(t, p) ? 1 : 0;
+    });
+    for (unsigned id = 0; id < 8; ++id)
+        EXPECT_EQ(freed[id], 1) << "tasklet " << id;
+    EXPECT_EQ(a.stats().requestedBytes, 0u);
+}
+
 TEST(PimMalloc, FreeOfUnknownPointerRejected)
 {
     sim::Dpu dpu;

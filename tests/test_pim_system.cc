@@ -263,10 +263,12 @@ TEST(CommandQueue, ScatterMemcpyMatchesUniformWhenEqual)
     const double uniform =
         qa.memcpy(sys_a.all(), 4096, CopyDirection::PimToHost);
 
+    // On an idle queue a copy starts at 0, so its completion time is
+    // its duration.
     PimSystem sys_b(smallSystem(4, 2));
     CommandQueue qb(sys_b);
-    const double scatter = qb.memcpyScatter(
-        sys_b.all(), {4096, 4096, 4096, 4096}, CopyDirection::PimToHost);
+    const double scatter = qb.eventSeconds(qb.memcpyScatterBufferedAsync(
+        sys_b.all(), {4096, 4096, 4096, 4096}, CopyDirection::PimToHost));
     EXPECT_DOUBLE_EQ(uniform, scatter);
     EXPECT_EQ(qa.transferredBytes(), qb.transferredBytes());
 }
@@ -275,8 +277,8 @@ TEST(CommandQueue, ScatterMemcpyCostsSummedPayload)
 {
     PimSystem sys(smallSystem(4, 2));
     CommandQueue q(sys);
-    const double sec = q.memcpyScatter(
-        sys.all(), {1000, 2000, 3000, 4000}, CopyDirection::HostToPim);
+    const double sec = q.eventSeconds(q.memcpyScatterBufferedAsync(
+        sys.all(), {1000, 2000, 3000, 4000}, CopyDirection::HostToPim));
     EXPECT_DOUBLE_EQ(
         sec, sys.transferModel().secondsTotal(10'000, 4));
     EXPECT_EQ(q.transferredBytes(), 10'000u);
@@ -493,10 +495,9 @@ TEST(CommandQueue, BufferedScatterDoesNotStallTargetRanks)
     const double ship_end = q.eventSeconds(ship);
     EXPECT_LT(ship_end, q.eventSeconds(attn));
     EXPECT_NEAR(q.rankReadySeconds(4), kLaunchOverhead + 10e-3, 1e-12);
-    // ...whereas a rank-occupying scatter serializes behind the launch.
-    const Event full = q.memcpyScatterAsync(
-        dec, std::vector<uint64_t>(dec.size(), 4096),
-        CopyDirection::HostToPim);
+    // ...whereas a rank-occupying copy serializes behind the launch.
+    const Event full =
+        q.memcpyAsync(dec, 4096, CopyDirection::HostToPim);
     EXPECT_GT(q.eventSeconds(full), q.eventSeconds(attn));
     EXPECT_NEAR(q.rankReadySeconds(4), q.eventSeconds(full), 1e-12);
 }

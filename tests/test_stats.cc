@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for RunningStat, Percentile, Histogram, and geomean.
+ * Unit tests for RunningStat, Percentile, and geomean.
  */
 
 #include <gtest/gtest.h>
@@ -121,25 +121,6 @@ TEST(Percentile, MeanAndCount)
         p.add(x);
     EXPECT_EQ(p.count(), 3u);
     EXPECT_DOUBLE_EQ(p.mean(), 2.0);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(10, 0.0, 100.0);
-    h.add(5.0);    // bin 0
-    h.add(95.0);   // bin 9
-    h.add(-50.0);  // clamps to bin 0
-    h.add(1000.0); // clamps to bin 9
-    EXPECT_EQ(h.bin(0), 2u);
-    EXPECT_EQ(h.bin(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinLowEdges)
-{
-    Histogram h(4, 0.0, 8.0);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLow(3), 6.0);
 }
 
 TEST(Geomean, KnownValues)

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -21,6 +23,9 @@
 #include "core/command_queue.hh"
 #include "core/design_space.hh"
 #include "core/pim_system.hh"
+#include "fault/fault_plan.hh"
+#include "fault/injector.hh"
+#include "telemetry/registry.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/occupancy.hh"
 #include "trace/trace.hh"
@@ -414,6 +419,160 @@ TEST(QueueTracing, ResetTimelineRebasesTraceEpoch)
             epoch3_t0 = s.t0;
     }
     EXPECT_DOUBLE_EQ(epoch3_t0, end1 + epoch2);
+}
+
+namespace {
+
+/** FNV-1a over the bytes of @p s; stable across platforms. */
+uint64_t
+fnv1a(const std::string &s)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * Every field of every recorded span (times as exact hex floats), then
+ * the registry's canonical snapshot: the complete observable output of
+ * a traced, metered queue.
+ */
+std::string
+observationDump(const Recorder &rec, const telemetry::Registry &met)
+{
+    std::string out;
+    char buf[512];
+    for (const Span &s : rec.spans()) {
+        std::snprintf(buf, sizeof(buf),
+                      "%d|%s|%s|%s|%a|%a|%llu|%llu|%d|%d|%d\n", s.lane,
+                      rec.laneName(s.lane).c_str(), s.name.c_str(),
+                      s.tenant.c_str(), s.t0, s.t1,
+                      static_cast<unsigned long long>(s.bytes),
+                      static_cast<unsigned long long>(s.cycles), s.event,
+                      s.after, s.idle ? 1 : 0);
+        out += buf;
+    }
+    return out + met.snapshotString();
+}
+
+/**
+ * Golden hash of the scenario below. Any change to a span (lane, name,
+ * tenant, time, bytes, cycles, event, dependency, idle flag) or to any
+ * counter or sampler bin the queue feeds moves it. If the observable
+ * output changes on purpose, the failure message prints the new value.
+ */
+constexpr uint64_t kGoldenObservationHash = 0x824cc92b236f3fccull;
+
+} // namespace
+
+// One fixed scenario exercising every observation the drain fold makes,
+// with a recorder and a metrics registry attached at once: two named
+// tenants plus the default one, a transfer retried once, a transfer
+// that fails past its attempt budget behind a blocking wait, a rank
+// dying mid-launch (death marker, truncated "!fault" slice), a poisoned
+// dependent, commands on the dead rank, a scatter, host compute,
+// idle-until, a timed and a simulated launch, and a timeline reset.
+TEST(QueueObservation, GoldenSpansAndMetrics)
+{
+    core::PimSystemConfig cfg;
+    cfg.numDpus = 256; // 4 ranks of 64
+    cfg.sampleDpus = 8;
+    cfg.simThreads = 2;
+    cfg.dpuCfg.mramBytes = 1u << 20;
+    core::PimSystem sys(cfg);
+    core::CommandQueue q(sys);
+    Recorder rec;
+    telemetry::Registry met(1e-3);
+    const core::TenantId svc = q.addTenant("svc");
+    q.attachRecorder(&rec);
+    q.attachMetrics(&met);
+    // Registered after the registry: its metrics bind lazily.
+    const core::TenantId etl = q.addTenant("etl");
+
+    fault::FaultSpec spec;
+    spec.maxTransferAttempts = 3;
+    spec.retryBackoffSec = 1e-4;
+    fault::FaultEvent death;
+    death.kind = fault::FaultKind::RankFail;
+    death.atSec = 2e-3;
+    death.rank = 1;
+    fault::FaultEvent glitch;
+    glitch.kind = fault::FaultKind::TransientTransfer;
+    glitch.atSec = 0.0;
+    glitch.attempts = 1;
+    fault::FaultEvent burst = glitch;
+    burst.atSec = 40e-3;
+    burst.attempts = 5;
+    fault::FaultInjector inj(
+        fault::FaultPlan(spec, {death, glitch, burst}, sys.numRanks()));
+    q.attachFaultInjector(&inj);
+
+    // Epoch 1, drain 1.
+    const core::Event feed =
+        q.memcpyAsync(sys.all(), 4096, core::CopyDirection::HostToPim,
+                      {.label = "feed", .tenant = svc});
+    q.launch(sys.rank(0), 4,
+             [](sim::Tasklet &t, unsigned g) {
+                 t.execute(300 + 10 * t.id() + g % 7);
+             },
+             {.after = feed, .label = "kern", .tenant = svc});
+    const core::Event doomed =
+        q.launchTimed(sys.rank(1), 4e-3, {.tenant = etl});
+    q.launchTimed(sys.rank(1), 1e-3,
+                  {.after = doomed, .label = "dependent", .tenant = etl});
+    std::vector<uint64_t> shard(sys.rank(2).size());
+    for (size_t i = 0; i < shard.size(); ++i)
+        shard[i] = 256 + 64 * (i % 5);
+    q.memcpyScatterBufferedAsync(sys.rank(2), shard,
+                                 core::CopyDirection::PimToHost,
+                                 {.tenant = etl});
+    q.hostCompute(16, 20000, {.tenant = svc});
+    q.hostIdleUntil(5e-3);
+    q.memcpy(sys.rank(3), 2048, core::CopyDirection::HostToPim,
+             {.label = "blocking"});
+    // Drain 2: a copy to and a launch over the dead rank.
+    q.memcpyAsync(sys.rank(1), 1024, core::CopyDirection::HostToPim,
+                  {.tenant = etl});
+    q.launchTimed(sys.all(), 1e-3, {.label = "wide"});
+    q.sync();
+
+    // Epoch 2: a blocking copy that exhausts its attempt budget.
+    q.resetTimeline();
+    q.hostIdleUntil(45e-3, {.tenant = svc});
+    q.memcpy(sys.rank(0), 8192, core::CopyDirection::HostToPim,
+             {.tenant = svc});
+    q.hostBusy(1e-3, {.tenant = etl});
+    q.sync();
+
+    // The scenario must keep reaching every path it claims to pin.
+    std::map<std::string, int> names;
+    for (const Span &s : rec.spans())
+        ++names[s.name];
+    EXPECT_EQ(names["fault:rank-fail"], 1);
+    EXPECT_EQ(names["launch !fault"], 1); // the mid-launch death
+    EXPECT_EQ(names["kern (issue)"], 1);
+    EXPECT_EQ(names["memcpy:h2p !fault (wait)"], 1);
+    EXPECT_EQ(names["blocking (wait)"], 1);
+    EXPECT_EQ(names["idle-until"], 2);
+    EXPECT_EQ(names["host"], 2);
+    EXPECT_EQ(names["memcpy:p2h"], 1);
+    EXPECT_EQ(names["dependent"], 0);
+    EXPECT_EQ(met.counters().at("queue.poisoned_deps:etl").value(), 1u);
+    EXPECT_EQ(met.counters().at("queue.transfer_retries:svc").value(),
+              3u);
+    EXPECT_GT(met.counters().at("queue.sim_events").value(), 0u);
+
+    const uint64_t h = fnv1a(observationDump(rec, met));
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(h));
+    EXPECT_EQ(h, kGoldenObservationHash)
+        << "observable queue output changed; if intended, set "
+           "kGoldenObservationHash to "
+        << hex;
 }
 
 // The ISSUE's acceptance check: in bench_fig06's Overlapped mode the
